@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Demonstrate the full inflation mechanism where its conditions hold.
 
-Sparse spectral fields cost only the number of stored modes, so nothing
-stops the lattice scale from being astronomically large.  Past
+The Duhamel product works on a dense (m, r) grid of the clusters
+xi = m*N + r, whose size does not depend on N, so nothing stops the
+lattice scale from being astronomically large.  Past
 N ~ 5e10 the contraction quantity 22 N^(-1/8) drops below one and the
 whole construction switches on: the six parameter conditions hold, the
 series converges, its tail is dominated by the first Picard term, and

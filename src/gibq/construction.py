@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import LatticeMismatchError
 from .flow import InitialPair
-from .lattice import FrequencyLattice, SpectralField
+from .lattice import FrequencyLattice, SpectralField, _next_pow2
 
 CUBE_CENTERS = (-2, -1, 1, 2)  # multiples of N carrying the bump cubes
 DEFAULT_A = 10
@@ -64,10 +64,6 @@ class InflationParams:
             period=1.0,
             cutoff=max(series_reach, ode_reach, 4 * BASE_MAX_FREQ),
         )
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << max(0, int(n - 1).bit_length())
 
 
 def _derive(N: int, s: float, k: int, delta: float):

@@ -10,8 +10,10 @@ The Duhamel operator computes, per output frequency xi,
 
     integral_0^t sin((t-t') lam(xi)) lam(xi) [u_1(t') ... u_k(t')]^(xi) dt'
 
-with the product realised as k-1 sparse convolutions at each
-Clenshaw-Curtis quadrature node.
+with the product formed at all Clenshaw-Curtis quadrature nodes at once by
+one FFT convolution on a grid of cells xi = m*B + r: the 1-D bounding box
+for supports without wide gaps, a small dense (m, r) grid for supports
+made of clusters spaced B apart.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .lattice import (
     PRUNE_REL,
     FrequencyLattice,
     SpectralField,
+    _next_pow2,
     _prune_arrays,
     lambda_symbol,
 )
@@ -266,8 +269,9 @@ def _check_args(args):
             raise LatticeMismatchError("duhamel arguments with different horizons")
 
 
-# Widest dense bounding box the batched Duhamel fold will allocate; wider
-# supports (e.g. cubes around astronomically large frequencies) take the
+# Most cells per quadrature node the batched Duhamel fold will allocate;
+# supports whose smallest fold grid is larger (e.g. cubes around
+# astronomically large frequencies that no two-scale split packs) take the
 # sparse per-node path instead.
 _DENSE_FOLD_CAP = 1 << 23
 
@@ -276,11 +280,13 @@ def duhamel(args: list, t_eval: float, quad_degree: int = DEFAULT_DEGREE,
             prune: float = PRUNE_REL) -> SpectralField:
     """Multilinear Duhamel integral of k trajectories at time t_eval.
 
-    The k-fold product is built for all quadrature nodes at once: each fold
-    is a batch of linear convolutions over a shared dense bounding box
-    (FFT), and the sine kernel is only evaluated on the nonzero columns.
-    Supports spanning more than the dense cap fall back to per-node sparse
-    convolutions, which only cost the number of stored modes.
+    The k-fold product is built for all quadrature nodes at once by one FFT
+    convolution on a grid of cells xi = m*B + r (see _fold_layout): a
+    single row (the 1-D bounding box) for supports without wide gaps, a
+    dense (m, r) grid for supports made of clusters spaced B apart.  The
+    sine kernel is only evaluated on the nonzero cells, so the cost scales
+    with the grid, not with the frequency range.  Supports whose grid
+    would exceed the dense cap fall back to per-node sparse convolutions.
     """
     _check_args(args)
     lattice = args[0].lattice
@@ -295,11 +301,11 @@ def duhamel(args: list, t_eval: float, quad_degree: int = DEFAULT_DEGREE,
     if any(sup.size == 0 for sup, _ in rows):
         return SpectralField.zero(lattice)
 
-    total_span = sum(int(sup[-1]) - int(sup[0]) for sup, _ in rows) + 1
-    if total_span <= _DENSE_FOLD_CAP:
-        xi, out = _duhamel_dense(lattice, rows, taus, weights, t_eval)
-    else:
+    layout = _fold_layout([sup for sup, _ in rows])
+    if layout is None:
         xi, out = _duhamel_sparse(lattice, rows, taus, weights, t_eval, prune)
+    else:
+        xi, out = _duhamel_grid(lattice, rows, layout, taus, weights, t_eval)
     if xi.size == 0:
         return SpectralField.zero(lattice)
     if lattice.weight != 1.0:
@@ -316,37 +322,118 @@ def duhamel(args: list, t_eval: float, quad_degree: int = DEFAULT_DEGREE,
     return SpectralField(lattice, xi, out)
 
 
-def _duhamel_dense(lattice, rows, taus, weights, t_eval):
-    """Batched dense-box fold over all quadrature nodes at once."""
-    sup, mat = rows[0]
-    lo = int(sup[0])
-    box = int(sup[-1]) - lo + 1
-    dense = np.zeros((taus.size, box), dtype=np.complex128)
-    dense[:, sup - lo] = mat
-    for sup2, mat2 in rows[1:]:
-        lo2 = int(sup2[0])
-        nbox = box + int(sup2[-1]) - lo2
-        n2 = 1 << int(nbox - 1).bit_length()
-        a = np.zeros((taus.size, n2), dtype=np.complex128)
-        a[:, :box] = dense
-        b = np.zeros((taus.size, n2), dtype=np.complex128)
-        b[:, sup2 - lo2] = mat2
-        dense = np.fft.ifft(np.fft.fft(a, axis=1) * np.fft.fft(b, axis=1),
-                            axis=1)[:, :nbox]
-        lo += lo2
-        box = nbox
-    cols = np.nonzero(np.any(dense != 0, axis=0))[0]
-    if cols.size == 0:
+def _fold_layout(sups):
+    """Grid for the Duhamel fold, or None when none fits the dense cap.
+
+    Returns (B, parts, (rows, cols)) with one (m, col, r0) per support:
+    the support is xi = m*B + r0 + col, with row m and column col counted
+    from zero, and rows x cols is the shape of the linear convolution.
+    The two-scale grid of _cluster_split is used only when its padded
+    transform is smaller than the padded 1-D box.  A support at least half
+    full has no gaps that a split could remove, so when every support is,
+    the 1-D box is taken without looking for clusters.
+    """
+    box = _box_layout(sups)
+    box_cells = box[2][1]
+    fits = box_cells <= _DENSE_FOLD_CAP
+    if all(2 * sup.size > int(sup[-1]) - int(sup[0]) for sup in sups):
+        return box if fits else None
+    split = _cluster_split(sups)
+    if split is not None:
+        n_rows, n_cols = split[2]
+        padded = _next_pow2(n_rows) * _next_pow2(n_cols)
+        if n_rows * n_cols <= _DENSE_FOLD_CAP and (not fits or padded < _next_pow2(box_cells)):
+            return split
+    return box if fits else None
+
+
+def _box_layout(sups):
+    """The 1-D bounding box: B = 0 and every support in row 0."""
+    box_cells = sum(int(sup[-1]) - int(sup[0]) for sup in sups) + 1
+    return 0, [(0, sup - sup[0], int(sup[0])) for sup in sups], (1, box_cells)
+
+
+def _cluster_split(sups):
+    """Two-scale split xi = m*B + r of supports made of spaced clusters.
+
+    The supports are cut into clusters at their widest gaps: at the
+    largest ratio between two successive distinct gap widths (counting
+    width 1, no hole, as the smallest).  B is the closest spacing of two
+    cluster midpoints within one support, and every cluster goes whole
+    into the row m nearest to (its midpoint - the support's first
+    midpoint) / B.  The split is exact for any B; B only sets the grid
+    size.  Returns a layout as _fold_layout does, or None when no support
+    has two clusters.
+    """
+    gaps = [np.diff(sup) for sup in sups]
+    widths = np.unique(np.concatenate(gaps + [[1]]))
+    cut_at = widths[np.argmax(widths[1:] / widths[:-1])] if widths.size > 1 else 1
+    clusters = []
+    spacing2 = None
+    for sup, g in zip(sups, gaps):
+        cut = np.flatnonzero(g > cut_at)
+        starts = np.append(0, cut + 1)
+        mid2 = sup[starts] + sup[np.append(cut, sup.size - 1)]
+        clusters.append((mid2, np.diff(np.append(starts, sup.size))))
+        if cut.size:
+            closest = int(np.min(np.diff(mid2)))
+            spacing2 = closest if spacing2 is None else min(spacing2, closest)
+    if spacing2 is None:
+        return None
+    base = max(1, (spacing2 + 1) // 2)
+    parts = []
+    n_rows = n_cols = 1
+    for sup, (mid2, sizes) in zip(sups, clusters):
+        m = np.repeat((mid2 - mid2[0] + base) // (2 * base), sizes)
+        r = sup - m * base
+        r0 = int(r.min())
+        parts.append((m, r - r0, r0))
+        n_rows += int(m[-1])
+        n_cols += int(r.max()) - r0
+    return base, parts, (n_rows, n_cols)
+
+
+def _duhamel_grid(lattice, rows, layout, taus, weights, t_eval):
+    """Batched fold over all quadrature nodes on one FFT grid.
+
+    Every argument is scattered into a (q, M, R) array of its cells
+    xi = m*B + r, the transforms are multiplied, and the inverse holds the
+    product at every node.  Where the r-span of the product reaches B,
+    cells (m, r) and (m+1, r-B) are the same frequency and are added
+    together before the kernel is applied.
+    """
+    base, parts, (n_rows, n_cols) = layout
+    grids = np.zeros((len(rows), taus.size, _next_pow2(n_rows), _next_pow2(n_cols)),
+                     dtype=np.complex128)
+    for grid, (_, mat), (m, col, _) in zip(grids, rows, parts):
+        grid[:, m, col] = mat
+    # a single row takes plain transforms along its last axis
+    fft, ifft = (np.fft.fft, np.fft.ifft) if n_rows == 1 else (np.fft.fft2, np.fft.ifft2)
+    fft(grids, out=grids)
+    prod = grids[0]
+    for spec in grids[1:]:
+        prod *= spec
+    dense = ifft(prod, out=prod)[:, :n_rows, :n_cols]
+    if base and n_cols > base:
+        folds = -(-n_cols // base)
+        carried = np.zeros((taus.size, n_rows + folds - 1, base),
+                           dtype=np.complex128)
+        for f in range(folds):
+            width = min(base, n_cols - f * base)
+            carried[:, f:f + n_rows, :width] += dense[:, :, f * base:f * base + width]
+        dense = carried
+    m_idx, col_idx = np.nonzero(np.any(dense != 0, axis=0))
+    if m_idx.size == 0:
         return np.empty(0, np.int64), np.empty(0, np.complex128)
-    xi = (lo + cols).astype(np.int64)
+    xi = m_idx * base + (sum(r0 for _, _, r0 in parts) + col_idx)
     lam = lambda_symbol(xi, lattice)
     kernel = np.sin(np.outer(t_eval - taus, lam)) * lam[None, :]
-    out = np.einsum("q,qm,qm->m", weights, kernel, dense[:, cols])
+    out = np.einsum("q,qm,qm->m", weights, kernel, dense[:, m_idx, col_idx])
     return xi, out
 
 
 def _duhamel_sparse(lattice, rows, taus, weights, t_eval, prune):
-    """Per-node sparse fold for supports too wide for a dense box."""
+    """Per-node sparse fold for supports whose fold grid exceeds the cap."""
     from .lattice import _convolve_arrays
 
     pieces_xi = []

@@ -221,12 +221,18 @@ class SpectralField:
             {"xi": int(x), "re": float(v.real), "im": float(v.imag)}
             for x, v in zip(self.xi, self.c)
         ]
-        return json.dumps({"period": self.lattice.period, "entries": entries})
+        lat = self.lattice
+        return json.dumps({"period": lat.period, "kind": lat.kind,
+                           "cutoff": lat.cutoff, "entries": entries})
 
     @classmethod
     def from_json(cls, text: str, cutoff: int = 1 << 40, kind: str = "torus") -> "SpectralField":
+        """Inverse of to_json; cutoff and kind are only used for documents
+        written without them."""
         doc = json.loads(text)
-        lattice = FrequencyLattice(period=doc["period"], cutoff=cutoff, kind=kind)
+        lattice = FrequencyLattice(period=doc["period"],
+                                   cutoff=doc.get("cutoff", cutoff),
+                                   kind=doc.get("kind", kind))
         pairs = [(e["xi"], complex(e["re"], e["im"])) for e in doc["entries"]]
         return cls.from_pairs(lattice, pairs)
 

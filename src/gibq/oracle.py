@@ -150,9 +150,7 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
         if diag.blowup_time is not None:
             fields.append(SpectralField.zero(lattice))
             continue
-        diag.l2_history.append(
-            (t, float(np.linalg.norm(state[0])), float(np.linalg.norm(state[1])))
-        )
+        diag.l2_history.append((t, _scaled_l2(state[0]), _scaled_l2(state[1])))
         fields.append(_gather(lattice, idx, state[0]))
         if diag.max_tail_fraction > tail_tol:
             if _retry:
@@ -168,6 +166,15 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
             )
     traj = Trajectory(lattice, horizon, nodes, fields)
     return traj, diag
+
+
+def _scaled_l2(x: np.ndarray) -> float:
+    """l2 norm as max|x| * ||x / max|x|||: the sum of squares of a finite
+    state near the float64 range overflows, the scaled one cannot."""
+    scale = float(np.max(np.abs(x)))
+    if scale == 0.0 or not math.isfinite(scale):
+        return scale
+    return scale * float(np.linalg.norm(x / scale))
 
 
 def _gather(lattice, idx, dense) -> SpectralField:

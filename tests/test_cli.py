@@ -125,6 +125,20 @@ def test_norms_field_value(tmp_path, lattice):
     assert float(out.read_text()) == pytest.approx(2.0)
 
 
+def test_norms_field_on_line_surrogate(tmp_path):
+    from gibq.lattice import FrequencyLattice, SpectralField
+    from gibq.norms import NormSpec, norm
+
+    line = FrequencyLattice(period=8.0, cutoff=1 << 20, kind="line_approx")
+    f = SpectralField.from_pairs(line, [(-3, 0.5), (0, 1.0), (3, 0.5)])
+    path = tmp_path / "field.json"
+    path.write_text(f.to_json())
+    out = tmp_path / "value.txt"
+    assert run(["norms", "--field", str(path),
+                "--spec", "sobolev,0", "--out", str(out)]) == 0
+    assert float(out.read_text()) == norm(f, NormSpec("sobolev", 0.0))
+
+
 def test_norms_requires_arguments(capsys):
     assert run(["norms"]) == 2
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from gibq import flow
+from gibq.construction import make_bump, schedule_from_N
 from gibq.errors import LatticeMismatchError
 from gibq.flow import (
     InitialPair,
@@ -14,7 +16,7 @@ from gibq.flow import (
     linear_flow,
     stable_sinc,
 )
-from gibq.lattice import SpectralField, lambda_symbol
+from gibq.lattice import FrequencyLattice, SpectralField, lambda_symbol
 
 from conftest import hermitian_field
 
@@ -201,3 +203,87 @@ def test_trajectory_json(lattice):
     assert doc["horizon"] == 0.5
     assert len(doc["nodes"]) == 7
     assert len(doc["fields"]) == 7
+
+
+# ----------------------------------------------------------------------
+# the three folds of the Duhamel product agree
+# ----------------------------------------------------------------------
+
+FOLDS = {
+    "grid": lambda sups: flow._cluster_split(sups) or flow._box_layout(sups),
+    "box": flow._box_layout,
+    "sparse": lambda sups: None,
+}
+
+
+def fold_outputs(monkeypatch, args, t_eval, folds):
+    out = {}
+    for name in folds:
+        monkeypatch.setattr(flow, "_fold_layout", FOLDS[name])
+        out[name] = duhamel(args, t_eval)
+    monkeypatch.undo()
+    return out
+
+
+def assert_folds_agree(out):
+    ref = out["sparse"]
+    assert ref.nnz > 0
+    for name, f in out.items():
+        assert np.array_equal(f.xi, ref.xi), name
+        assert np.max(np.abs(f.c - ref.c)) <= 1e-12 * ref.sup(), name
+        assert f.is_hermitian(), name
+
+
+def bump_trajectories(N, max_gen):
+    """Linear flow and Duhamel terms of the bump up to generation max_gen."""
+    params = schedule_from_N(N, 2, -0.75, delta_hint=0.25)
+    lin = linear_flow(make_bump(params, params.lattice()).phi, params.T)
+    terms = [lin]
+    for _ in range(max_gen):
+        terms.append(duhamel_trajectory([terms[-1], lin]))
+    return params.T, terms
+
+
+@pytest.mark.parametrize("N, folds", [
+    (1 << 11, ("grid", "box", "sparse")),
+    # a 1-D box 2^43 wide cannot be allocated
+    (1 << 40, ("grid", "sparse")),
+])
+def test_folds_agree_on_bump_trajectories(monkeypatch, N, folds):
+    horizon, terms = bump_trajectories(N, 2)
+    for args in ([terms[0], terms[0]], [terms[2], terms[1]],
+                 [terms[1], terms[0], terms[0]]):
+        assert_folds_agree(fold_outputs(monkeypatch, args, horizon, folds))
+
+
+def test_grid_fold_carries_wide_rows(monkeypatch):
+    # two clusters 140 apart and 81 wide: the product's r-span exceeds
+    # the base, so cells (m, r) and (m+1, r-B) must be added together
+    lattice = FrequencyLattice(period=1.0, cutoff=1 << 20)
+    xi = np.concatenate([np.arange(-40, 41), np.arange(100, 181)])
+    xi = np.union1d(xi, -xi)
+    rng = np.random.default_rng(5)
+    pos = rng.standard_normal(xi.size) + 1j * rng.standard_normal(xi.size)
+    c = pos + np.conj(pos[::-1])
+    field = SpectralField(lattice, xi, c)
+    traj = linear_flow(InitialPair(field, field.scale(0.5)), 0.7, 12)
+    sups = [traj.support_and_matrix()[0]] * 2
+    base, _, (_, n_cols) = flow._cluster_split(sups)
+    assert n_cols > base
+    for args in ([traj, traj], [traj, traj, traj]):
+        assert_folds_agree(fold_outputs(monkeypatch, args, 0.7, FOLDS))
+
+
+def test_single_cluster_takes_the_box(monkeypatch, lattice):
+    pair = InitialPair(hermitian_field(lattice, 51, 12), hermitian_field(lattice, 52, 12))
+    traj = linear_flow(pair, 0.6, 12)
+    sup = traj.support_and_matrix()[0]
+
+    def no_split(sups):
+        raise AssertionError("a single cluster was split")
+
+    monkeypatch.setattr(flow, "_cluster_split", no_split)
+    base, parts, _ = flow._fold_layout([sup, sup])
+    assert base == 0 and all(m == 0 for m, _, _ in parts)
+    monkeypatch.undo()
+    assert_folds_agree(fold_outputs(monkeypatch, [traj, traj], 0.6, FOLDS))

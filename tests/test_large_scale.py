@@ -2,9 +2,10 @@
 
 The desk-scale sweep pins N <= 2^12, where the scheduled horizon violates
 the contraction condition (ii) and the tail condition (iv), and the
-solution blows up before it (see the acceptance module).  Sparse fields
-only cost the number of stored modes, though, so the same machinery runs
-at N = 2^40 -- past the threshold N ~ 5e10 where the contraction quantity
+solution blows up before it (see the acceptance module).  The Duhamel
+product costs the size of the (m, r) grid of the clusters xi = m*N + r,
+not the frequency range, though, so the same machinery runs at
+N = 2^40 -- past the threshold N ~ 5e10 where the contraction quantity
 22 N^(-1/8) drops below one -- and there every claim is checkable
 literally: the six conditions, the decaying ledger, tail domination, the
 factor-two window between the measured solution norm and the first Picard

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from gibq.lattice import (
     power_k,
     synthesize,
 )
+from gibq.norms import NormSpec, norm
 
 from conftest import hermitian_field
 
@@ -196,6 +198,22 @@ def test_json_roundtrip(lattice):
     g = SpectralField.from_json(f.to_json(), cutoff=lattice.cutoff)
     assert np.array_equal(f.xi, g.xi)
     assert np.array_equal(f.c, g.c)
+
+
+def test_json_roundtrip_keeps_the_lattice():
+    line = FrequencyLattice(period=8.0, cutoff=1 << 20, kind="line_approx")
+    f = SpectralField.from_pairs(line, [(-3, 0.5), (0, 1.0), (3, 0.5)])
+    g = SpectralField.from_json(f.to_json())
+    assert g.lattice == line
+    assert np.array_equal(f.xi, g.xi) and np.array_equal(f.c, g.c)
+    spec = NormSpec("sobolev", 0.0)
+    assert norm(g, spec) == norm(f, spec)
+
+
+def test_json_without_lattice_keys_uses_arguments():
+    doc = {"period": 1.0, "entries": [{"xi": 2, "re": 1.0, "im": 0.0}]}
+    g = SpectralField.from_json(json.dumps(doc), cutoff=64, kind="line_approx")
+    assert g.lattice == FrequencyLattice(period=1.0, cutoff=64, kind="line_approx")
 
 
 def test_json_sorted_by_xi(lattice):

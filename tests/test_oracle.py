@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -88,6 +89,22 @@ def test_rk4_reports_blowup(lattice):
     traj, diag = rk4_solve(big, 1.0, 1e-3, 64, k=2, tail_tol=math.inf)
     assert diag.blowup_time is not None
     assert 0 < diag.blowup_time < 1.0
+
+
+def test_rk4_blowup_history_without_overflow(lattice):
+    # at this amplitude the last node before blow-up holds a finite u whose
+    # sum of squares exceeds the float64 range
+    big = InitialPair(
+        SpectralField.from_pairs(lattice, [(-1, 302.5), (1, 302.5)]),
+        SpectralField.zero(lattice),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, diag = rk4_solve(big, 1.0, 1e-3, 64, k=2, tail_tol=math.inf)
+    assert 0 < diag.blowup_time < 1.0
+    u_norms = [u for _, u, _ in diag.l2_history]
+    assert max(u_norms) > 1e154
+    assert all(math.isfinite(u) for u in u_norms)
 
 
 # ----------------------------------------------------------------------
