@@ -34,7 +34,7 @@ from .construction import (
     schedule,
     schedule_from_N,
 )
-from .errors import ConfigError, SeriesDivergenceError
+from .errors import ConfigError, GibqError, SeriesDivergenceError
 from .flow import InitialPair, duhamel, linear_flow
 from .lattice import SpectralField, bracket
 from .norms import NormSpec, norm
@@ -563,6 +563,8 @@ def sweep(config: dict, threads: int = 0):
             rk4_tail_tol=float(config.get("rk4_tail_tol", 1e-10)),
         )
 
+    # A package error or a bad point (schedule_from_N raises ValueError)
+    # becomes an error row; any other exception is a bug and propagates.
     outcomes = []
     if threads and threads > 1 and len(indices) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -572,13 +574,13 @@ def sweep(config: dict, threads: int = 0):
             for future in futures:
                 try:
                     outcomes.append((future.result(), None))
-                except Exception as exc:
+                except (GibqError, ValueError) as exc:
                     outcomes.append((None, exc))
     else:
         for value in indices:
             try:
                 outcomes.append((one_run(value), None))
-            except Exception as exc:  # isolate per-run failures
+            except (GibqError, ValueError) as exc:
                 outcomes.append((None, exc))
 
     reports = []

@@ -4,7 +4,10 @@ Three oracles, all structurally independent of the Picard machinery:
 
 * rk4_solve  -- classical RK4 on the per-frequency second-order system
                 u_tt^ = -lam^2 (u^ + (u^k)^), run on a dense contiguous
-                frequency block with a monitored hard cutoff.
+                frequency block with a monitored hard cutoff.  The power
+                (u^k)^ of a real field (an exactly Hermitian block) is
+                taken with a real FFT pair, of any other block with a
+                complex pair.
 * xi1_closed_form -- the first Picard term of the bump evaluated without
                 quadrature, by expanding the cosine product into 2^(k-1)
                 cosines and integrating each against sin((T-t')lam)lam
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,16 +57,73 @@ def closure_from_depth(pair: InitialPair, k: int, depth: int = 6) -> int:
     return max(1, ((k - 1) * depth + 1) * maxfreq)
 
 
+# Per-thread work buffers of the real-transform path (sweep runs points in
+# threads).  They are reused across calls because freshly allocated ones
+# are page-faulted in again on every right-hand side.
+_conv_buffers = threading.local()
+
+
+def _real_buffers(n2: int):
+    """The float samples buffer (length n2) and the complex spectrum buffer
+    (length n2/2 + 1) of this thread, reallocated only when n2 changes."""
+    bufs = getattr(_conv_buffers, "pair", None)
+    if bufs is None or bufs[0].size != n2:
+        bufs = (np.empty(n2), np.empty(n2 // 2 + 1, dtype=np.complex128))
+        _conv_buffers.pair = bufs
+    return bufs
+
+
+def _is_hermitian_block(u: np.ndarray) -> bool:
+    """Exact test of u[K+j] == conj(u[K-j]) for every j (so u[K] is real)
+    on a block of length 2K + 1; a block of even length fails it.
+
+    A NaN matches a NaN, so an RK4 stage that has blown up stays on the
+    real path; either transform pair spreads a NaN over the whole output,
+    and the complex pair's temporaries would set the solve's peak memory.
+    """
+    K = (u.size - 1) // 2
+    return bool(np.array_equal(u[K:], u[K::-1].conj(), equal_nan=True))
+
+
 def _dense_conv_power(u: np.ndarray, k: int):
     """Central slice of the k-fold self-convolution of a dense block.
 
     Returns (kept_slice, discarded_mass_sq, total_mass_sq); the discarded
     mass is summed directly over the out-of-block entries so the tail
     monitor is free of cancellation noise.
+
+    A block that is exactly Hermitian (a real field, as every field of the
+    construction is) is convolved with a real transform pair: its
+    frequencies 0..K are synthesized into real samples, raised to the k-th
+    power and analysed back, about half the work of a complex pair.  Only
+    the non-negative half of the product spectrum is computed, and `kept`
+    is its mirror, so it is exactly Hermitian again and the RK4 state stays
+    on this path.  Any other block takes a complex transform pair.
     """
     m = u.size
     full_len = k * (m - 1) + 1
     n2 = 1 << int(full_len - 1).bit_length()
+    if _is_hermitian_block(u):
+        K = (m - 1) // 2
+        top = k * K + 1  # product frequencies 0..kK, below n2/2: no aliasing
+        samples, spec = _real_buffers(n2)
+        np.fft.irfft(u[K:], n2, norm="forward", out=samples)
+        if k == 2:
+            np.square(samples, out=samples)
+        else:  # repeated products: np.power calls pow() for each sample
+            base = samples.copy()
+            for _ in range(k - 1):
+                samples *= base
+        np.fft.rfft(samples, norm="forward", out=spec)
+        kept = np.empty(m, dtype=np.complex128)
+        kept[K:] = spec[: K + 1]
+        kept[K] = spec[0].real
+        np.conjugate(spec[K:0:-1], out=kept[:K])
+        mags = np.abs(spec[:top], out=samples[:top])
+        mags *= mags
+        discarded = 2.0 * float(np.sum(mags[K + 1:]))
+        total = float(mags[0]) + 2.0 * float(np.sum(mags[1:]))
+        return kept, discarded, total
     fu = np.fft.fft(u, n2)
     full = np.fft.ifft(fu**k)[:full_len]
     centre = (full_len - 1) // 2
@@ -229,7 +290,8 @@ def xi1_closed_form(bump: BumpData, horizon: float,
     amp = 1.0 if unit_amplitude else params.R ** k
     grids = np.meshgrid(*([offsets] * k), indexing="ij")
     r_sum = sum(grids).ravel()
-    acc: dict = {}
+    r_vals, r_inv = np.unique(r_sum, return_inverse=True)
+    xi_parts, val_parts = [], []
     for centres in itertools.product(CUBE_CENTERS, repeat=k):
         if centre_filter is not None and not centre_filter(centres):
             continue
@@ -246,13 +308,16 @@ def xi1_closed_form(bump: BumpData, horizon: float,
         for j in range(rates.shape[-1]):
             vals += _sine_kernel_integral(lam_out, rates[:, j], horizon)
         vals *= amp / float(2 ** (k - 1))
-        uniq, inv = np.unique(xi_vals, return_inverse=True)
-        sums = np.zeros(uniq.size)
-        np.add.at(sums, inv, vals)
-        for x, v in zip(uniq, sums):
-            acc[int(x)] = acc.get(int(x), 0.0) + float(v)
-    pairs = [(x, v) for x, v in acc.items() if v != 0.0]
-    return SpectralField.from_pairs(lattice, pairs)
+        xi_parts.append(base + r_vals)
+        val_parts.append(np.bincount(r_inv, weights=vals,
+                                     minlength=r_vals.size))
+    if not xi_parts:
+        return SpectralField.zero(lattice)
+    uniq, inv = np.unique(np.concatenate(xi_parts), return_inverse=True)
+    sums = np.zeros(uniq.size)
+    np.add.at(sums, inv, np.concatenate(val_parts))
+    keep = sums != 0.0
+    return SpectralField(lattice, uniq[keep], sums[keep])
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gibq import harness
 from gibq.construction import make_bump, sample_base_data, schedule_from_N
 from gibq.errors import ConfigError, SeriesDivergenceError
 from gibq.flow import InitialPair, duhamel, linear_flow
@@ -257,6 +258,26 @@ def test_sweep_isolates_failures():
     assert reports[0] is not None
     assert reports[1] is None
     assert "ValueError" in csv_text
+
+
+@pytest.mark.parametrize("threads", [0, 2])
+def test_sweep_rows_package_errors_and_raises_bugs(monkeypatch, threads):
+    def diverging(params, **kwargs):
+        raise SeriesDivergenceError("ledger not decaying", [1.5])
+
+    monkeypatch.setattr(harness, "run_inflation", diverging)
+    reports, csv_text, _ = sweep(dict(BASE_CONFIG), threads=threads)
+    assert reports == [None, None]
+    assert csv_text.count("SeriesDivergenceError: ledger not decaying") == 2
+
+    def buggy(params, **kwargs):
+        if params.N == 1024:
+            raise TypeError("a bug")
+        return diverging(params)
+
+    monkeypatch.setattr(harness, "run_inflation", buggy)
+    with pytest.raises(TypeError, match="a bug"):
+        sweep(dict(BASE_CONFIG), threads=threads)
 
 
 def test_config_hash_stable():

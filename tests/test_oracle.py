@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from gibq.construction import make_bump, schedule, schedule_from_N
@@ -8,6 +9,7 @@ from gibq.errors import CapacityError
 from gibq.flow import InitialPair, duhamel, linear_flow
 from gibq.lattice import SpectralField, lambda_symbol
 from gibq.oracle import (
+    _dense_conv_power,
     closure_from_depth,
     convolution_sandwich,
     rk4_solve,
@@ -30,6 +32,79 @@ def test_rk4_linear_mode_exact(lattice):
     for t, f in zip(traj.nodes, traj.fields):
         assert f.get(7).real == pytest.approx(math.cos(t * lam), abs=1e-8)
     assert diag.blowup_time is None
+
+
+def _hermitian_block(seed, K):
+    rng = np.random.default_rng(seed)
+    half = rng.standard_normal(K + 1) + 1j * rng.standard_normal(K + 1)
+    half[0] = half[0].real
+    return np.concatenate([half[:0:-1].conj(), half])
+
+
+def _conv_power_reference(u, k):
+    """The k-fold self-convolution by np.convolve, cut as the oracle cuts it."""
+    full = u
+    for _ in range(k - 1):
+        full = np.convolve(full, u)
+    K = (u.size - 1) // 2
+    centre = (full.size - 1) // 2
+    mags = np.abs(full) ** 2
+    discarded = float(np.sum(mags[: centre - K]) + np.sum(mags[centre + K + 1:]))
+    return full[centre - K: centre + K + 1], discarded, float(np.sum(mags))
+
+
+def _assert_conv_power_matches(got, ref, rel=1e-13):
+    kept, discarded, total = got
+    kept_ref, discarded_ref, total_ref = ref
+    assert np.max(np.abs(kept - kept_ref)) <= rel * np.max(np.abs(kept_ref))
+    assert discarded == pytest.approx(discarded_ref, rel=rel)
+    assert total == pytest.approx(total_ref, rel=rel)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("this transform must not run here")
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dense_conv_power_real_and_complex_paths_agree(monkeypatch, k):
+    u = _hermitian_block(80 + k, 40)
+    rot = np.exp(0.7j)
+    ref = _conv_power_reference(u, k)
+
+    # the Hermitian block takes the real transforms only ...
+    with monkeypatch.context() as mp:
+        mp.setattr(np.fft, "fft", _forbidden)
+        real = _dense_conv_power(u, k)
+    _assert_conv_power_matches(real, ref)
+    kept = real[0]
+    assert np.array_equal(kept, kept[::-1].conj())
+
+    # ... and the rotated block, no longer Hermitian, the complex ones
+    with monkeypatch.context() as mp:
+        mp.setattr(np.fft, "rfft", _forbidden)
+        rotated = _dense_conv_power(rot * u, k)
+    _assert_conv_power_matches(
+        rotated, (rot**k * ref[0], ref[1], ref[2]))
+
+
+def test_rk4_hermitian_data_stays_on_the_real_path(monkeypatch, lattice):
+    monkeypatch.setattr(np.fft, "fft", _forbidden)
+    pair = InitialPair(hermitian_field(lattice, 59, 6, amplitude=0.8),
+                       hermitian_field(lattice, 60, 6, amplitude=0.8))
+    K = closure_from_depth(pair, 2, 6)
+    traj, diag = rk4_solve(pair, 0.5, 0.5 / 200, K, k=2)
+    assert diag.blowup_time is None
+    assert traj.fields[-1].nnz > 0
+    assert traj.is_hermitian(0.0)
+    # the stages of the step that blows up hold NaN; they stay on the
+    # real path too
+    big = InitialPair(
+        SpectralField.from_pairs(lattice, [(-1, 1000.0), (1, 1000.0)]),
+        SpectralField.zero(lattice),
+    )
+    traj, diag = rk4_solve(big, 1.0, 1e-3, 64, k=2, tail_tol=math.inf)
+    assert 0 < diag.blowup_time < 1.0
+    assert traj.is_hermitian(0.0)
 
 
 def test_rk4_zero_data(lattice):
