@@ -10,7 +10,7 @@ series converges, its tail is dominated by the first Picard term, and
 the headline inequalities are measured directly -- a perturbation far
 below 1/n producing a response far above n.
 
-Runs in a few seconds.  Default N = 2^40.
+Runs in under a second.  Default N = 2^40.
 """
 
 import argparse

@@ -10,10 +10,14 @@ The Duhamel operator computes, per output frequency xi,
 
     integral_0^t sin((t-t') lam(xi)) lam(xi) [u_1(t') ... u_k(t')]^(xi) dt'
 
-with the product formed at all Clenshaw-Curtis quadrature nodes at once by
-one FFT convolution on a grid of cells xi = m*B + r: the 1-D bounding box
-for supports without wide gaps, a small dense (m, r) grid for supports
-made of clusters spaced B apart.
+by Clenshaw-Curtis quadrature, with the k-fold product formed at many
+times at once by one FFT convolution on a grid of cells xi = m*B + r: the
+1-D bounding box for supports without wide gaps, a small dense (m, r) grid
+for supports made of clusters spaced B apart.  A whole trajectory forms
+the product once, on the Chebyshev grid of degree D = sum of the argument
+degrees: the product of the arguments' interpolants is a polynomial of
+degree D in time, so interpolating it from that grid to the quadrature
+nodes of every output node is exact.
 """
 
 from __future__ import annotations
@@ -226,6 +230,15 @@ class Trajectory:
         })
 
     @classmethod
+    def from_json(cls, text: str) -> "Trajectory":
+        """Inverse of to_json, exact to the bit; the lattice is read from
+        the field documents."""
+        doc = json.loads(text)
+        fields = [SpectralField.from_doc(f) for f in doc["fields"]]
+        return cls(fields[0].lattice, doc["horizon"],
+                   np.array(doc["nodes"], dtype=float), fields)
+
+    @classmethod
     def zero(cls, lattice: FrequencyLattice, horizon: float,
              degree: int = DEFAULT_DEGREE) -> "Trajectory":
         nodes = chebyshev_nodes(degree, horizon)
@@ -269,10 +282,10 @@ def _check_args(args):
             raise LatticeMismatchError("duhamel arguments with different horizons")
 
 
-# Most cells per quadrature node the batched Duhamel fold will allocate;
-# supports whose smallest fold grid is larger (e.g. cubes around
-# astronomically large frequencies that no two-scale split packs) take the
-# sparse per-node path instead.
+# Most cells per time the batched fold will allocate; supports whose
+# smallest fold grid is larger (e.g. cubes around astronomically large
+# frequencies that no two-scale split packs) take the sparse per-time path
+# instead.
 _DENSE_FOLD_CAP = 1 << 23
 
 
@@ -280,13 +293,9 @@ def duhamel(args: list, t_eval: float, quad_degree: int = DEFAULT_DEGREE,
             prune: float = PRUNE_REL) -> SpectralField:
     """Multilinear Duhamel integral of k trajectories at time t_eval.
 
-    The k-fold product is built for all quadrature nodes at once by one FFT
-    convolution on a grid of cells xi = m*B + r (see _fold_layout): a
-    single row (the 1-D bounding box) for supports without wide gaps, a
-    dense (m, r) grid for supports made of clusters spaced B apart.  The
-    sine kernel is only evaluated on the nonzero cells, so the cost scales
-    with the grid, not with the frequency range.  Supports whose grid
-    would exceed the dense cap fall back to per-node sparse convolutions.
+    The k-fold product is formed at the quad_degree + 1 Clenshaw-Curtis
+    nodes on [0, t_eval] (see _product_at), then integrated against the
+    sine kernel (see _integrate).
     """
     _check_args(args)
     lattice = args[0].lattice
@@ -294,22 +303,68 @@ def duhamel(args: list, t_eval: float, quad_degree: int = DEFAULT_DEGREE,
         raise ValueError("t_eval outside [0, horizon]")
     if t_eval == 0.0:
         return SpectralField.zero(lattice)
+    taus = chebyshev_nodes(quad_degree, t_eval)
+    xi, values = _product_at(args, taus, taus.size, prune)
+    return _integrate(lattice, len(args), xi, values, t_eval, quad_degree, prune)
 
+
+def duhamel_trajectory(args: list, quad_degree: int = DEFAULT_DEGREE,
+                       prune: float = PRUNE_REL) -> Trajectory:
+    """Duhamel integral evaluated at every node of the first argument's grid.
+
+    The k-fold product is formed once, on the Chebyshev-Lobatto grid of
+    degree D = sum of the argument degrees on [0, T].  Each argument is a
+    polynomial in time of its own degree, so the product is one of degree
+    D, and interpolating it from that grid to the quadrature nodes of each
+    output node is exact: every node gets the integral duhamel(args, t)
+    would give, from one product instead of one per node.
+    """
+    _check_args(args)
+    base = args[0]
+    degree = sum(a.degree for a in args)
+    # half as many times per transform as a single-time fold takes, so that
+    # the product on the whole grid and one batch's transforms together
+    # stay near the memory of one single-time fold
+    xi, values = _product_at(args, chebyshev_nodes(degree, base.horizon),
+                             max(1, (quad_degree + 1) // 2), prune)
+    interp = _product_interpolation(base.degree, degree, quad_degree)
+    fields = [
+        _integrate(base.lattice, len(args), xi, mat @ values, float(t), quad_degree, prune)
+        for t, mat in zip(base.nodes, interp)
+    ]
+    return Trajectory(base.lattice, base.horizon, base.nodes, fields)
+
+
+@lru_cache(maxsize=None)
+def _product_interpolation(node_degree: int, degree: int,
+                           quad_degree: int) -> np.ndarray:
+    """Barycentric rows from the degree-D product grid to the quadrature
+    nodes of every output node, shape (nodes, quad nodes, grid nodes).
+
+    Nodes, grid and quadrature all scale with the horizon, so the matrices
+    are computed on [0, 1].  Cached and frozen per degree triple.
+    """
+    grid = chebyshev_nodes(degree, 1.0)
+    mats = np.stack([
+        np.stack([barycentric_coeffs(grid, tau) for tau in chebyshev_nodes(quad_degree, t)])
+        for t in chebyshev_nodes(node_degree, 1.0)
+    ])
+    mats.setflags(write=False)
+    return mats
+
+
+def _integrate(lattice, k, xi, values, t_eval, quad_degree, prune) -> SpectralField:
+    """Clenshaw-Curtis sum over [0, t_eval] of sin((t_eval-tau) lam) lam
+    times the product values at the quadrature nodes, one row per node."""
+    if xi.size == 0 or t_eval == 0.0:
+        return SpectralField.zero(lattice)
     taus = chebyshev_nodes(quad_degree, t_eval)
     weights = clenshaw_curtis_weights(quad_degree) * (t_eval / 2.0)
-    rows = [traj.rows_at(taus) for traj in args]
-    if any(sup.size == 0 for sup, _ in rows):
-        return SpectralField.zero(lattice)
-
-    layout = _fold_layout([sup for sup, _ in rows])
-    if layout is None:
-        xi, out = _duhamel_sparse(lattice, rows, taus, weights, t_eval, prune)
-    else:
-        xi, out = _duhamel_grid(lattice, rows, layout, taus, weights, t_eval)
-    if xi.size == 0:
-        return SpectralField.zero(lattice)
+    lam = lambda_symbol(xi, lattice)
+    kernel = np.sin(np.outer(t_eval - taus, lam)) * lam[None, :]
+    out = np.einsum("q,qm,qm->m", weights, kernel, values)
     if lattice.weight != 1.0:
-        out = out * lattice.weight ** (len(args) - 1)
+        out = out * lattice.weight ** (k - 1)
     xi, out = _prune_arrays(xi, out, prune)
     keep = out != 0
     xi, out = xi[keep], out[keep]
@@ -322,8 +377,29 @@ def duhamel(args: list, t_eval: float, quad_degree: int = DEFAULT_DEGREE,
     return SpectralField(lattice, xi, out)
 
 
+def _product_at(args, times, batch, prune):
+    """The k-fold product of the arguments at the given times.
+
+    Returns (xi, values): the frequencies where the product is nonzero at
+    some time and a (times x xi) matrix, each time pruned at prune times
+    its largest coefficient.  It is built by one FFT
+    convolution on a grid of cells xi = m*B + r (see _fold_layout), at
+    most batch times per transform: a single row (the 1-D bounding box)
+    for supports without wide gaps, a dense (m, r) grid for supports made
+    of clusters spaced B apart.  Supports whose grid would exceed the
+    dense cap fall back to per-time sparse convolutions.
+    """
+    rows = [traj.rows_at(times) for traj in args]
+    if any(sup.size == 0 for sup, _ in rows):
+        return np.empty(0, np.int64), np.empty((times.size, 0), np.complex128)
+    layout = _fold_layout([sup for sup, _ in rows])
+    if layout is None:
+        return _product_sparse(rows, prune)
+    return _product_grid(rows, layout, batch, prune)
+
+
 def _fold_layout(sups):
-    """Grid for the Duhamel fold, or None when none fits the dense cap.
+    """Grid for the product fold, or None when none fits the dense cap.
 
     Returns (B, parts, (rows, cols)) with one (m, col, r0) per support:
     the support is xi = m*B + r0 + col, with row m and column col counted
@@ -393,20 +469,41 @@ def _cluster_split(sups):
     return base, parts, (n_rows, n_cols)
 
 
-def _duhamel_grid(lattice, rows, layout, taus, weights, t_eval):
-    """Batched fold over all quadrature nodes on one FFT grid.
+def _product_grid(rows, layout, batch, prune):
+    """Batched fold of all times on one FFT grid.
 
-    Every argument is scattered into a (q, M, R) array of its cells
+    Every argument is scattered into a (times, M, R) array of its cells
     xi = m*B + r, the transforms are multiplied, and the inverse holds the
-    product at every node.  Where the r-span of the product reaches B,
+    product at every time.  Where the r-span of the product reaches B,
     cells (m, r) and (m+1, r-B) are the same frequency and are added
-    together before the kernel is applied.
+    together (the carry).  The times are split into equal batches of at
+    most batch times, one transform each.  Each time's product is pruned
+    at prune times its largest coefficient, and only the cells nonzero at
+    some time are returned.
     """
     base, parts, (n_rows, n_cols) = layout
-    grids = np.zeros((len(rows), taus.size, _next_pow2(n_rows), _next_pow2(n_cols)),
+    n_times = rows[0][1].shape[0]
+    width = base if base and n_cols > base else n_cols
+    folds = -(-n_cols // width)
+    product = np.zeros((n_times, n_rows + folds - 1, width), dtype=np.complex128)
+    for times in np.array_split(np.arange(n_times), -(-n_times // batch)):
+        _fold_batch(product[times[0]:times[-1] + 1], rows, layout, times[0], width, prune)
+    product = product.reshape(n_times, -1)
+    cells = np.flatnonzero(np.any(product != 0, axis=0))
+    m_idx, col_idx = np.divmod(cells, width)
+    xi = m_idx * base + (sum(r0 for _, _, r0 in parts) + col_idx)
+    return xi, np.take(product, cells, axis=1)
+
+
+def _fold_batch(out, rows, layout, lo, width, prune):
+    """Add the product at times lo, lo+1, ... into out, carried rows of
+    the given width, and prune it per time; the transform arrays are freed
+    on return."""
+    _, parts, (n_rows, n_cols) = layout
+    grids = np.zeros((len(rows), out.shape[0], _next_pow2(n_rows), _next_pow2(n_cols)),
                      dtype=np.complex128)
     for grid, (_, mat), (m, col, _) in zip(grids, rows, parts):
-        grid[:, m, col] = mat
+        grid[:, m, col] = mat[lo:lo + out.shape[0]]
     # a single row takes plain transforms along its last axis
     fft, ifft = (np.fft.fft, np.fft.ifft) if n_rows == 1 else (np.fft.fft2, np.fft.ifft2)
     fft(grids, out=grids)
@@ -414,31 +511,22 @@ def _duhamel_grid(lattice, rows, layout, taus, weights, t_eval):
     for spec in grids[1:]:
         prod *= spec
     dense = ifft(prod, out=prod)[:, :n_rows, :n_cols]
-    if base and n_cols > base:
-        folds = -(-n_cols // base)
-        carried = np.zeros((taus.size, n_rows + folds - 1, base),
-                           dtype=np.complex128)
-        for f in range(folds):
-            width = min(base, n_cols - f * base)
-            carried[:, f:f + n_rows, :width] += dense[:, :, f * base:f * base + width]
-        dense = carried
-    m_idx, col_idx = np.nonzero(np.any(dense != 0, axis=0))
-    if m_idx.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.complex128)
-    xi = m_idx * base + (sum(r0 for _, _, r0 in parts) + col_idx)
-    lam = lambda_symbol(xi, lattice)
-    kernel = np.sin(np.outer(t_eval - taus, lam)) * lam[None, :]
-    out = np.einsum("q,qm,qm->m", weights, kernel, dense[:, m_idx, col_idx])
-    return xi, out
+    for f in range(out.shape[1] - n_rows + 1):
+        cols = dense[:, :, f * width:(f + 1) * width]
+        out[:, f:f + n_rows, :cols.shape[2]] += cols
+    # drop each time's rounding dust, as the sparse fold does: interpolated
+    # to an early output node, the dust of the late times would outgrow the
+    # small product there and fill the gaps of its support
+    mags = np.abs(out)
+    out[mags < prune * np.max(mags, axis=(1, 2), keepdims=True)] = 0
 
 
-def _duhamel_sparse(lattice, rows, taus, weights, t_eval, prune):
-    """Per-node sparse fold for supports whose fold grid exceeds the cap."""
+def _product_sparse(rows, prune):
+    """Per-time sparse fold for supports whose fold grid exceeds the cap."""
     from .lattice import _convolve_arrays
 
-    pieces_xi = []
-    pieces_c = []
-    for q, (tau, w) in enumerate(zip(taus, weights)):
+    pieces = []
+    for q in range(rows[0][1].shape[0]):
         xi, c = rows[0][0], rows[0][1][q]
         keep = c != 0
         xi, c = xi[keep], c[keep]
@@ -446,32 +534,13 @@ def _duhamel_sparse(lattice, rows, taus, weights, t_eval, prune):
             cq = mat[q]
             keep = cq != 0
             if xi.size == 0 or not np.any(keep):
-                xi = np.empty(0, np.int64)
+                xi, c = np.empty(0, np.int64), np.empty(0, np.complex128)
                 break
             xi, c = _convolve_arrays(xi, c, sup[keep], cq[keep])
             xi, c = _prune_arrays(xi, c, prune)
-        if xi.size == 0:
-            continue
-        lam = lambda_symbol(xi, lattice)
-        pieces_xi.append(xi)
-        pieces_c.append(w * np.sin((t_eval - tau) * lam) * lam * c)
-    if not pieces_xi:
-        return np.empty(0, np.int64), np.empty(0, np.complex128)
-    allxi = np.concatenate(pieces_xi)
-    allc = np.concatenate(pieces_c)
-    uniq, inv = np.unique(allxi, return_inverse=True)
-    out = np.zeros(uniq.size, dtype=np.complex128)
-    np.add.at(out, inv, allc)
-    return uniq, out
-
-
-def duhamel_trajectory(args: list, quad_degree: int = DEFAULT_DEGREE,
-                       prune: float = PRUNE_REL) -> Trajectory:
-    """Duhamel integral evaluated at every node of the argument grid."""
-    _check_args(args)
-    base = args[0]
-    fields = [
-        duhamel(args, float(t), quad_degree=quad_degree, prune=prune)
-        for t in base.nodes
-    ]
-    return Trajectory(base.lattice, base.horizon, base.nodes, fields)
+        pieces.append((xi, c))
+    support = np.unique(np.concatenate([xi for xi, _ in pieces]))
+    values = np.zeros((len(pieces), support.size), dtype=np.complex128)
+    for row, (xi, c) in zip(values, pieces):
+        row[np.searchsorted(support, xi)] = c
+    return support, values

@@ -229,11 +229,20 @@ class SpectralField:
     def from_json(cls, text: str, cutoff: int = 1 << 40, kind: str = "torus") -> "SpectralField":
         """Inverse of to_json; cutoff and kind are only used for documents
         written without them."""
-        doc = json.loads(text)
+        return cls.from_doc(json.loads(text), cutoff, kind)
+
+    @classmethod
+    def from_doc(cls, doc: dict, cutoff: int = 1 << 40, kind: str = "torus") -> "SpectralField":
+        """Field of a parsed to_json document.  Entries in strictly
+        increasing order, as to_json writes them, are read back to the bit
+        (signed zeros included); any other order is merged by from_pairs."""
         lattice = FrequencyLattice(period=doc["period"],
                                    cutoff=doc.get("cutoff", cutoff),
                                    kind=doc.get("kind", kind))
         pairs = [(e["xi"], complex(e["re"], e["im"])) for e in doc["entries"]]
+        xi = np.array([x for x, _ in pairs], dtype=np.int64)
+        if np.all(np.diff(xi) > 0):
+            return cls(lattice, xi, np.array([v for _, v in pairs], dtype=np.complex128))
         return cls.from_pairs(lattice, pairs)
 
 

@@ -98,11 +98,11 @@ def band_partition(f: SpectralField) -> BandPartition:
     if f.nnz == 0:
         return BandPartition(bands={})
     n = band_index(f.lattice.dual_points(f.xi))
-    order = {}
-    for i, b in enumerate(n):
-        order.setdefault(int(b), []).append(i)
+    # a stable sort keeps each band's indices ascending
+    order = np.argsort(n, kind="stable").astype(np.int64)
+    bands, starts = np.unique(n[order], return_index=True)
     return BandPartition(
-        bands={b: np.asarray(ix, dtype=np.int64) for b, ix in sorted(order.items())}
+        bands={int(b): ix for b, ix in zip(bands, np.split(order, starts[1:]))}
     )
 
 

@@ -146,6 +146,8 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
     nonlinear evaluation monitors the l2 fraction of the convolution that
     falls outside the block.  On a breach the closure is doubled once and
     the integration restarted; a second breach raises TruncationTailError.
+    The first step that leaves u or v non-finite sets blowup_time; no
+    later node is recorded.
     """
     if dt <= 0 or dt > horizon / 100.0:
         raise ValueError("dt must be positive and at most horizon/100")
@@ -204,7 +206,7 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
                     state[0] + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
                     state[1] + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
                 )
-                if not np.all(np.isfinite(state[0])):
+                if not (np.all(np.isfinite(state[0])) and np.all(np.isfinite(state[1]))):
                     diag.blowup_time = t + (step + 1) * h
                     break
         t = float(target)

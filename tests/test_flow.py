@@ -287,3 +287,132 @@ def test_single_cluster_takes_the_box(monkeypatch, lattice):
     assert base == 0 and all(m == 0 for m, _, _ in parts)
     monkeypatch.undo()
     assert_folds_agree(fold_outputs(monkeypatch, [traj, traj], 0.6, FOLDS))
+
+
+# ----------------------------------------------------------------------
+# a trajectory forms its product once and matches the single-time integral
+# ----------------------------------------------------------------------
+
+def two_cluster_trajectory(lattice, degree=12, horizon=0.7):
+    """Clusters 140 apart and 81 wide: the grid fold carries its rows."""
+    xi = np.concatenate([np.arange(-40, 41), np.arange(100, 181)])
+    xi = np.union1d(xi, -xi)
+    rng = np.random.default_rng(5)
+    pos = rng.standard_normal(xi.size) + 1j * rng.standard_normal(xi.size)
+    field = SpectralField(lattice, xi, pos + np.conj(pos[::-1]))
+    return linear_flow(InitialPair(field, field.scale(0.5)), horizon, degree)
+
+
+def assert_trajectory_matches_single_times(monkeypatch, args, folds):
+    for name in folds:
+        monkeypatch.setattr(flow, "_fold_layout", FOLDS[name])
+        traj = duhamel_trajectory(args)
+        scale = max(f.sup() for f in traj.fields)
+        assert scale > 0, name
+        assert np.array_equal(traj.nodes, args[0].nodes)
+        for t, f in zip(traj.nodes, traj.fields):
+            ref = duhamel(args, float(t))
+            assert np.array_equal(f.xi, ref.xi), (name, t)
+            assert np.max(np.abs(f.c - ref.c), initial=0.0) <= 1e-12 * scale, (name, t)
+        monkeypatch.undo()
+
+
+def test_trajectory_matches_single_times_with_carry(monkeypatch):
+    lattice = FrequencyLattice(period=1.0, cutoff=1 << 20)
+    traj = two_cluster_trajectory(lattice)
+    base, _, (_, n_cols) = flow._cluster_split([traj.support_and_matrix()[0]] * 2)
+    assert n_cols > base
+    for args in ([traj, traj], [traj, traj, traj]):
+        assert_trajectory_matches_single_times(monkeypatch, args, FOLDS)
+
+
+def test_trajectory_matches_single_times_on_bump_terms(monkeypatch):
+    # supports with wide gaps: on the 1-D box the interpolated rounding
+    # dust of late times must not fill the gaps at early nodes
+    _, terms = bump_trajectories(1 << 9, 2)
+    for args in ([terms[2], terms[1]], [terms[1], terms[0], terms[0]]):
+        assert_trajectory_matches_single_times(monkeypatch, args, FOLDS)
+
+
+def test_trajectory_matches_single_times_for_mixed_degrees(monkeypatch, lattice):
+    pair = InitialPair(hermitian_field(lattice, 61, 10), hermitian_field(lattice, 62, 10))
+    a, b, c = (linear_flow(pair, 0.8, p) for p in (12, 16, 8))
+    # output nodes are those of the first argument; D = 28 and D = 36
+    for args in ([a, b], [b, a], [a, b, c]):
+        assert_trajectory_matches_single_times(monkeypatch, args, FOLDS)
+
+
+def test_trajectory_matches_single_times_on_line_surrogate(monkeypatch):
+    # the dual weight 1/period enters each output as weight**(k-1)
+    line = FrequencyLattice(period=8.0, cutoff=1 << 20, kind="line_approx")
+    pair = InitialPair(hermitian_field(line, 71, 12), hermitian_field(line, 72, 12))
+    traj = linear_flow(pair, 0.6, 12)
+    for args in ([traj, traj], [traj, traj, traj]):
+        assert_trajectory_matches_single_times(monkeypatch, args, FOLDS)
+    out = duhamel_trajectory([traj, traj])
+    torus = FrequencyLattice(period=8.0, cutoff=1 << 20)
+    same = Trajectory(torus, 0.6, traj.nodes,
+                      [SpectralField(torus, f.xi, f.c) for f in traj.fields])
+    # same symbol, so the outputs differ by the weight alone
+    plain = duhamel_trajectory([same, same])
+    for f, g in zip(out.fields, plain.fields):
+        assert np.array_equal(f.xi, g.xi)
+        assert np.allclose(f.c, g.c / 8.0, rtol=1e-14, atol=0.0)
+
+
+def test_trajectory_does_not_call_the_single_time_integral(monkeypatch, lattice):
+    pair = InitialPair(hermitian_field(lattice, 81, 8), hermitian_field(lattice, 82, 8))
+    traj = linear_flow(pair, 0.5, 12)
+
+    def per_node(*_, **__):
+        raise AssertionError("duhamel_trajectory called duhamel")
+
+    monkeypatch.setattr(flow, "duhamel", per_node)
+    assert duhamel_trajectory([traj, traj]).sup_l1() > 0
+
+
+@pytest.mark.parametrize("layout, quad_degree", [
+    ("grid", 16), ("box", 16), ("grid", 12), ("box", 5),
+])
+def test_transform_batches_stay_within_quadrature_size(monkeypatch, layout, quad_degree):
+    lattice = FrequencyLattice(period=1.0, cutoff=1 << 20)
+    traj = two_cluster_trajectory(lattice, degree=16)
+    batches = []
+    for name in ("fft", "fft2"):
+        transform = getattr(np.fft, name)
+
+        def spy(a, *rest, _transform=transform, **kw):
+            batches.append(a.shape[1])
+            return _transform(a, *rest, **kw)
+
+        monkeypatch.setattr(np.fft, name, spy)
+    monkeypatch.setattr(flow, "_fold_layout", FOLDS[layout])
+    for args in ([traj, traj], [traj, traj, traj]):
+        batches.clear()
+        duhamel_trajectory(args, quad_degree=quad_degree)
+        # every node of the degree-D product grid is transformed once
+        assert sum(batches) == 16 * len(args) + 1
+        assert max(batches) <= quad_degree + 1
+
+
+@pytest.mark.parametrize("lattice", [
+    FrequencyLattice(period=1.0, cutoff=1 << 20),
+    FrequencyLattice(period=8.0, cutoff=1 << 20, kind="line_approx"),
+], ids=["torus", "line_approx"])
+def test_trajectory_json_roundtrip_is_exact(lattice):
+    pair = InitialPair(hermitian_field(lattice, 91, 6), hermitian_field(lattice, 92, 6))
+    lin = linear_flow(pair, 0.5, 8)
+    signed_zero = SpectralField(lattice, np.array([-1, 0, 1]),
+                                np.array([0.5 - 0.25j, complex(2.0, -0.0), 0.5 + 0.25j]))
+    for traj in (lin, duhamel_trajectory([lin, lin]),
+                 constant_trajectory(lattice, signed_zero, 0.5, 4)):
+        back = Trajectory.from_json(traj.to_json())
+        assert back.lattice == traj.lattice
+        assert back.horizon == traj.horizon
+        assert back.nodes.tobytes() == traj.nodes.tobytes()
+        assert len(back.fields) == len(traj.fields)
+        for f, g in zip(traj.fields, back.fields):
+            assert g.lattice == lattice
+            assert g.xi.tobytes() == f.xi.tobytes()
+            assert g.c.tobytes() == f.c.tobytes()
+        assert back.to_json() == traj.to_json()

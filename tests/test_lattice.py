@@ -1,11 +1,13 @@
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gibq import lattice as lattice_module
 from gibq.errors import CutoffOverflowError, LatticeMismatchError
 from gibq.lattice import (
     FrequencyLattice,
@@ -178,6 +180,80 @@ def test_hermitian_preserved_by_convolve(seed):
     f = hermitian_field(lat, seed, max_freq=12)
     g = hermitian_field(lat, seed + 1, max_freq=9)
     assert convolve(f, g).is_hermitian(1e-12)
+
+
+# Cap settings that force each path of _convolve_arrays on small fields;
+# a product cap of one also cuts the merge into many chunks.
+CONVOLVE_PATHS = {
+    "schoolbook": {},
+    "fft_box": {"_EXACT_PRODUCT_CAP": 0},
+    "chunked_merge": {"_FFT_BOX_CAP": 0, "_EXACT_PRODUCT_CAP": 1},
+}
+
+
+@contextmanager
+def convolve_path(name):
+    with pytest.MonkeyPatch.context() as mp:
+        for cap, value in CONVOLVE_PATHS[name].items():
+            mp.setattr(lattice_module, cap, value)
+        yield
+
+
+def mirror(f):
+    return SpectralField(f.lattice, -f.xi[::-1], np.conj(f.c[::-1]))
+
+
+def assert_close(f, g, scale):
+    assert (f - g).l1() <= 1e-12 * max(scale, 1e-300)
+
+
+@pytest.mark.parametrize("path", ["schoolbook", "fft_box", "chunked_merge"])
+def test_forced_convolve_paths_are_taken(path):
+    lat = FrequencyLattice(period=1.0, cutoff=1 << 20)
+    f = hermitian_field(lat, 3, max_freq=5)
+    g = hermitian_field(lat, 4, max_freq=4)
+    calls = {"fft": 0, "unique": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, owner in (("fft", np.fft), ("unique", np)):
+            original = getattr(owner, name)
+
+            def counted(*a, _name=name, _original=original, **kw):
+                calls[_name] += 1
+                return _original(*a, **kw)
+
+            mp.setattr(owner, name, counted)
+        with convolve_path(path):
+            convolve(f, g, prune=0.0)
+    assert (calls["fft"] > 0) == (path == "fft_box")
+    # the merge takes one np.unique per chunk
+    assert (calls["unique"] > 1) == (path == "chunked_merge")
+
+
+@pytest.mark.parametrize("path", ["schoolbook", "fft_box", "chunked_merge"])
+@given(f=sparse_fields(), g=sparse_fields(), h=sparse_fields(),
+       a=st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+       b=st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False))
+def test_convolve_is_commutative_and_bilinear(path, f, g, h, a, b):
+    with convolve_path(path):
+        fg = convolve(f, g, prune=0.0)
+        assert_close(fg, convolve(g, f, prune=0.0), f.l1() * g.l1())
+        lhs = convolve(f.scale(a) + h.scale(b), g, prune=0.0)
+        rhs = fg.scale(a) + convolve(h, g, prune=0.0).scale(b)
+        assert_close(lhs, rhs, (abs(a) * f.l1() + abs(b) * h.l1()) * g.l1())
+
+
+@pytest.mark.parametrize("path", ["schoolbook", "fft_box", "chunked_merge"])
+@given(f=sparse_fields(), g=sparse_fields())
+def test_convolve_keeps_hermitian_symmetry_and_minkowski_support(path, f, g):
+    f, g = f + mirror(f), g + mirror(g)
+    sums = {x + y for x in f.support() for y in g.support()}
+    with convolve_path(path):
+        fg = convolve(f, g)
+        assert fg.is_hermitian(1e-12)
+        assert fg.support() <= sums
+        if path != "fft_box":
+            # exact paths: no dust outside the Minkowski sum even unpruned
+            assert convolve(f, g, prune=0.0).support() <= sums
 
 
 def test_fold_order_agreement(lattice):

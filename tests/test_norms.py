@@ -10,6 +10,7 @@ from gibq.flow import InitialPair
 from gibq.lattice import FrequencyLattice, SpectralField, bracket
 from gibq.norms import (
     NormSpec,
+    band_index,
     band_partition,
     check_algebra,
     check_embeddings,
@@ -115,6 +116,23 @@ def test_band_partition_groups_on_line_lattice():
     f = SpectralField.from_pairs(lat, [(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)])
     part = band_partition(f)
     assert {n: len(ix) for n, ix in part.bands.items()} == {0: 2, 1: 2}
+
+
+def test_band_partition_matches_the_per_mode_loop():
+    # the dict of the per-mode loop the vectorized partition replaced
+    rng = np.random.default_rng(9)
+    lat = line_lattice(period=3.7)
+    xi = np.unique(rng.integers(-500, 500, size=300))
+    f = SpectralField(lat, xi, rng.standard_normal(xi.size) + 0j)
+    order = {}
+    for i, b in enumerate(band_index(lat.dual_points(f.xi))):
+        order.setdefault(int(b), []).append(i)
+    expected = {b: np.asarray(ix, dtype=np.int64) for b, ix in sorted(order.items())}
+    bands = band_partition(f).bands
+    assert list(bands) == list(expected)
+    for b, ix in expected.items():
+        assert bands[b].dtype == ix.dtype
+        assert np.array_equal(bands[b], ix)
 
 
 def test_bump_bands_cover_exactly_the_cubes():

@@ -6,7 +6,7 @@ import pytest
 
 from gibq.construction import make_bump, schedule, schedule_from_N
 from gibq.errors import CapacityError
-from gibq.flow import InitialPair, duhamel, linear_flow
+from gibq.flow import InitialPair, chebyshev_nodes, duhamel, linear_flow
 from gibq.lattice import SpectralField, lambda_symbol
 from gibq.oracle import (
     _dense_conv_power,
@@ -167,19 +167,27 @@ def test_rk4_reports_blowup(lattice):
 
 
 def test_rk4_blowup_history_without_overflow(lattice):
-    # at this amplitude the last node before blow-up holds a finite u whose
-    # sum of squares exceeds the float64 range
-    big = InitialPair(
-        SpectralField.from_pairs(lattice, [(-1, 302.5), (1, 302.5)]),
-        SpectralField.zero(lattice),
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _, diag = rk4_solve(big, 1.0, 1e-3, 64, k=2, tail_tol=math.inf)
-    assert 0 < diag.blowup_time < 1.0
-    u_norms = [u for _, u, _ in diag.l2_history]
-    assert max(u_norms) > 1e154
-    assert all(math.isfinite(u) for u in u_norms)
+    # at amplitude 302.0 the last node before blow-up holds a finite u whose
+    # sum of squares exceeds the float64 range; at 302.5 the step that ends
+    # on node 4 overflows v while u is still finite, and that step is the
+    # blow-up: no later node is recorded
+    node4 = chebyshev_nodes(16, 1.0)[4]
+    for amplitude in (302.0, 302.5):
+        big = InitialPair(
+            SpectralField.from_pairs(lattice, [(-1, amplitude), (1, amplitude)]),
+            SpectralField.zero(lattice),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, diag = rk4_solve(big, 1.0, 1e-3, 64, k=2, tail_tol=math.inf)
+        assert 0 < diag.blowup_time < 1.0
+        assert all(math.isfinite(u) and math.isfinite(v)
+                   for _, u, v in diag.l2_history)
+        if amplitude == 302.0:
+            assert max(u for _, u, _ in diag.l2_history) > 1e154
+        else:
+            assert diag.blowup_time <= node4
+            assert diag.l2_history[-1][0] < node4
 
 
 # ----------------------------------------------------------------------
