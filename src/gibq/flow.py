@@ -75,17 +75,23 @@ def _barycentric_weights(degree: int) -> np.ndarray:
     return w
 
 
-def barycentric_coeffs(nodes: np.ndarray, t: float) -> np.ndarray:
-    """Interpolation coefficients gamma with p(t) = sum gamma_i * values_i."""
+def barycentric_coeffs(nodes: np.ndarray, t) -> np.ndarray:
+    """Interpolation coefficients gamma with p(t) = sum gamma_i * values_i.
+
+    For an array of times, one row per time (shape times.shape + nodes.shape).
+    A time within rounding of a node gets the unit row of that node.
+    """
     w = _barycentric_weights(nodes.size - 1)
-    diff = t - nodes
-    exact = np.nonzero(np.abs(diff) <= 1e-15 * max(abs(t), nodes[-1], 1e-300))[0]
-    coeffs = np.zeros(nodes.size)
-    if exact.size:
-        coeffs[exact[0]] = 1.0
-        return coeffs
-    g = w / diff
-    return g / np.sum(g)
+    times = np.asarray(t, dtype=float)
+    diff = times.reshape(-1, 1) - nodes
+    scale = np.maximum(np.abs(times.reshape(-1, 1)), max(nodes[-1], 1e-300))
+    exact = np.abs(diff) <= 1e-15 * scale
+    g = w / np.where(exact, 1.0, diff)
+    coeffs = g / g.sum(axis=1, keepdims=True)
+    hit = np.flatnonzero(exact.any(axis=1))
+    coeffs[hit] = 0.0
+    coeffs[hit, exact[hit].argmax(axis=1)] = 1.0
+    return coeffs.reshape(times.shape + nodes.shape)
 
 
 @lru_cache(maxsize=None)
@@ -189,8 +195,7 @@ class Trajectory:
     def rows_at(self, times: np.ndarray):
         """Support plus a (len(times) x nnz) matrix of interpolated values."""
         support, mat = self.support_and_matrix()
-        gamma = np.stack([barycentric_coeffs(self.nodes, t) for t in times])
-        return support, gamma @ mat
+        return support, barycentric_coeffs(self.nodes, times) @ mat
 
     def sup_l1(self) -> float:
         return max((f.l1() for f in self.fields), default=0.0)
@@ -344,11 +349,8 @@ def _product_interpolation(node_degree: int, degree: int,
     Nodes, grid and quadrature all scale with the horizon, so the matrices
     are computed on [0, 1].  Cached and frozen per degree triple.
     """
-    grid = chebyshev_nodes(degree, 1.0)
-    mats = np.stack([
-        np.stack([barycentric_coeffs(grid, tau) for tau in chebyshev_nodes(quad_degree, t)])
-        for t in chebyshev_nodes(node_degree, 1.0)
-    ])
+    taus = chebyshev_nodes(quad_degree, chebyshev_nodes(node_degree, 1.0)[:, None])
+    mats = barycentric_coeffs(chebyshev_nodes(degree, 1.0), taus)
     mats.setflags(write=False)
     return mats
 

@@ -630,16 +630,8 @@ def _fill_row(row: dict, report: InflationReport, labels: list):
         "series_max_ratio": max(report.series_ratios, default=0.0),
         "error": "",
     })
-    for name, col in (("i: perturbation below 1/n", "cond_i"),
-                      ("ii: contraction quantity", "cond_ii"),
-                      ("iii-a: base H0 small", "cond_iii_a"),
-                      ("iii-b: base Wiener small", "cond_iii_b"),
-                      ("iv: tail below main term", "cond_iv"),
-                      ("v: main term above n", "cond_v"),
-                      ("vi: cube separation", "cond_vi")):
-        for rec in report.ledger["conditions"]:
-            if rec["name"] == name:
-                row[col] = rec["margin"]
+    for rec in report.ledger["conditions"]:  # "iii-a: ..." -> cond_iii_a
+        row["cond_" + rec["name"].split(":")[0].replace("-", "_")] = rec["margin"]
     for lab in labels:
         row[f"pert_{lab}"] = report.perturbation.get(lab)
         row[f"xi1_{lab}"] = report.xi1_bump.get(lab)

@@ -3,11 +3,10 @@
 Three oracles, all structurally independent of the Picard machinery:
 
 * rk4_solve  -- classical RK4 on the per-frequency second-order system
-                u_tt^ = -lam^2 (u^ + (u^k)^), run on a dense contiguous
-                frequency block with a monitored hard cutoff.  The power
-                (u^k)^ of a real field (an exactly Hermitian block) is
-                taken with a real FFT pair, of any other block with a
-                complex pair.
+                u_tt^ = -lam^2 (u^ + (u^k)^) of real data, run on the
+                modes 0..K of a dense frequency block |xi| <= K with a
+                monitored hard cutoff; the power (u^k)^ is taken with a
+                real FFT pair.
 * xi1_closed_form -- the first Picard term of the bump evaluated without
                 quadrature, by expanding the cosine product into 2^(k-1)
                 cosines and integrating each against sin((T-t')lam)lam
@@ -57,15 +56,16 @@ def closure_from_depth(pair: InitialPair, k: int, depth: int = 6) -> int:
     return max(1, ((k - 1) * depth + 1) * maxfreq)
 
 
-# Per-thread work buffers of the real-transform path (sweep runs points in
+# Per-thread work buffers of the transform pair (sweep runs points in
 # threads).  They are reused across calls because freshly allocated ones
 # are page-faulted in again on every right-hand side.
 _conv_buffers = threading.local()
 
 
 def _real_buffers(n2: int):
-    """The float samples buffer (length n2) and the complex spectrum buffer
-    (length n2/2 + 1) of this thread, reallocated only when n2 changes."""
+    """The real samples buffer (length n2) and the half-spectrum buffer
+    (length n2/2 + 1) of this thread's real transform pair, reallocated
+    only when n2 changes."""
     bufs = getattr(_conv_buffers, "pair", None)
     if bufs is None or bufs[0].size != n2:
         bufs = (np.empty(n2), np.empty(n2 // 2 + 1, dtype=np.complex128))
@@ -73,66 +73,36 @@ def _real_buffers(n2: int):
     return bufs
 
 
-def _is_hermitian_block(u: np.ndarray) -> bool:
-    """Exact test of u[K+j] == conj(u[K-j]) for every j (so u[K] is real)
-    on a block of length 2K + 1; a block of even length fails it.
-
-    A NaN matches a NaN, so an RK4 stage that has blown up stays on the
-    real path; either transform pair spreads a NaN over the whole output,
-    and the complex pair's temporaries would set the solve's peak memory.
-    """
-    K = (u.size - 1) // 2
-    return bool(np.array_equal(u[K:], u[K::-1].conj(), equal_nan=True))
-
-
 def _dense_conv_power(u: np.ndarray, k: int):
-    """Central slice of the k-fold self-convolution of a dense block.
+    """Modes 0..K of the k-th power of the real field with modes u = 0..K.
 
-    Returns (kept_slice, discarded_mass_sq, total_mass_sq); the discarded
-    mass is summed directly over the out-of-block entries so the tail
-    monitor is free of cancellation noise.
-
-    A block that is exactly Hermitian (a real field, as every field of the
-    construction is) is convolved with a real transform pair: its
-    frequencies 0..K are synthesized into real samples, raised to the k-th
-    power and analysed back, about half the work of a complex pair.  Only
-    the non-negative half of the product spectrum is computed, and `kept`
-    is its mirror, so it is exactly Hermitian again and the RK4 state stays
-    on this path.  Any other block takes a complex transform pair.
+    The field's modes -K..K are the block u mirrored by c(-xi) = conj
+    c(xi); its real samples are synthesized from u, raised to the k-th
+    power and analysed back with a real transform pair.  Returns
+    (kept, discarded_mass_sq, total_mass_sq): kept holds the product's
+    modes 0..K (mode 0 real), and the two l2 masses are those of the whole
+    product spectrum, -kK..kK, and of its part outside -K..K, summed
+    directly over those modes so the tail monitor is free of cancellation
+    noise.
     """
-    m = u.size
-    full_len = k * (m - 1) + 1
-    n2 = 1 << int(full_len - 1).bit_length()
-    if _is_hermitian_block(u):
-        K = (m - 1) // 2
-        top = k * K + 1  # product frequencies 0..kK, below n2/2: no aliasing
-        samples, spec = _real_buffers(n2)
-        np.fft.irfft(u[K:], n2, norm="forward", out=samples)
-        if k == 2:
-            np.square(samples, out=samples)
-        else:  # repeated products: np.power calls pow() for each sample
-            base = samples.copy()
-            for _ in range(k - 1):
-                samples *= base
-        np.fft.rfft(samples, norm="forward", out=spec)
-        kept = np.empty(m, dtype=np.complex128)
-        kept[K:] = spec[: K + 1]
-        kept[K] = spec[0].real
-        np.conjugate(spec[K:0:-1], out=kept[:K])
-        mags = np.abs(spec[:top], out=samples[:top])
-        mags *= mags
-        discarded = 2.0 * float(np.sum(mags[K + 1:]))
-        total = float(mags[0]) + 2.0 * float(np.sum(mags[1:]))
-        return kept, discarded, total
-    fu = np.fft.fft(u, n2)
-    full = np.fft.ifft(fu**k)[:full_len]
-    centre = (full_len - 1) // 2
-    half = (m - 1) // 2
-    kept = full[centre - half: centre + half + 1]
-    mags = np.abs(full) ** 2
-    total = float(np.sum(mags))
-    discarded = float(np.sum(mags[: centre - half])
-                      + np.sum(mags[centre + half + 1:]))
+    K = u.size - 1
+    top = k * K + 1  # product modes 0..kK, below n2/2: no aliasing
+    n2 = 1 << (2 * k * K).bit_length()
+    samples, spec = _real_buffers(n2)
+    np.fft.irfft(u, n2, norm="forward", out=samples)
+    if k == 2:
+        np.square(samples, out=samples)
+    else:  # repeated products: np.power calls pow() for each sample
+        base = samples.copy()
+        for _ in range(k - 1):
+            samples *= base
+    np.fft.rfft(samples, norm="forward", out=spec)
+    kept = spec[: K + 1].copy()
+    kept[0] = spec[0].real
+    mags = np.abs(spec[:top], out=samples[:top])
+    mags *= mags
+    discarded = 2.0 * float(np.sum(mags[K + 1:]))
+    total = float(mags[0]) + 2.0 * float(np.sum(mags[1:]))
     return kept, discarded, total
 
 
@@ -142,25 +112,29 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
               _retry: bool = True) -> tuple:
     """Integrate the Fourier-side system; returns (Trajectory, diagnostics).
 
-    The state lives on the contiguous block |xi| <= support_closure; each
-    nonlinear evaluation monitors the l2 fraction of the convolution that
-    falls outside the block.  On a breach the closure is doubled once and
-    the integration restarted; a second breach raises TruncationTailError.
+    The data must be real: a pair that is not exactly Hermitian raises
+    ValueError.  The solution then stays real, and the state holds only
+    the modes 0..K of the block |xi| <= K = support_closure; the full
+    block is formed by mirroring at the output nodes.  Each nonlinear
+    evaluation monitors the l2 fraction of the power that falls outside
+    the block.  On a breach the closure is doubled once and the
+    integration restarted; a second breach raises TruncationTailError.
     The first step that leaves u or v non-finite sets blowup_time; no
     later node is recorded.
     """
     if dt <= 0 or dt > horizon / 100.0:
         raise ValueError("dt must be positive and at most horizon/100")
+    if not pair.is_hermitian(0.0):
+        raise ValueError("rk4_solve needs real data: an exactly Hermitian pair")
     lattice = pair.lattice
     K = int(support_closure)
-    m = 2 * K + 1
     idx = np.arange(-K, K + 1)
-    lam = lambda_symbol(idx, lattice)
+    lam = lambda_symbol(np.arange(K + 1), lattice)
     lam2 = lam * lam
     conv_weight = lattice.weight ** (k - 1)
 
-    u = np.zeros(m, dtype=np.complex128)
-    v = np.zeros(m, dtype=np.complex128)
+    u = np.zeros(2 * K + 1, dtype=np.complex128)
+    v = np.zeros(2 * K + 1, dtype=np.complex128)
     for comp, dense in ((pair.u0, u), (pair.u1, v)):
         if comp.nnz:
             if int(np.max(np.abs(comp.xi))) > K:
@@ -187,7 +161,7 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
 
     nodes = chebyshev_nodes(node_degree, horizon)
     fields = [_gather(lattice, idx, u)]
-    state = (u, v)
+    state = (u[K:], v[K:])
     t = 0.0
     for target in nodes[1:]:
         if diag.blowup_time is not None:
@@ -213,8 +187,9 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
         if diag.blowup_time is not None:
             fields.append(SpectralField.zero(lattice))
             continue
-        diag.l2_history.append((t, _scaled_l2(state[0]), _scaled_l2(state[1])))
-        fields.append(_gather(lattice, idx, state[0]))
+        u, v = _mirror(state[0]), _mirror(state[1])
+        diag.l2_history.append((t, _scaled_l2(u), _scaled_l2(v)))
+        fields.append(_gather(lattice, idx, u))
         if diag.max_tail_fraction > tail_tol:
             if _retry:
                 traj, inner = rk4_solve(
@@ -229,6 +204,11 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
             )
     traj = Trajectory(lattice, horizon, nodes, fields)
     return traj, diag
+
+
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """The block -K..K of the real field with modes half = 0..K."""
+    return np.concatenate([half[:0:-1].conj(), half])
 
 
 def _scaled_l2(x: np.ndarray) -> float:

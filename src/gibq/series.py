@@ -13,6 +13,7 @@ sum over generation-j trees of the tree terms == term(j).
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -27,6 +28,10 @@ from .flow import (
 from .trees import compositions, is_terminal
 
 FIXED_POINT_MAX_ITER = 64
+
+# Distances at most this multiple of eps * sup l1 are rounding noise: the
+# iteration has converged even if the absolute tol lies below them.
+_ROUNDING_FLOOR = 64 * sys.float_info.epsilon
 
 
 @dataclass
@@ -134,9 +139,11 @@ def fixed_point(pair: InitialPair, k: int, horizon: float, tol: float,
                 max_iter: int = FIXED_POINT_MAX_ITER) -> Trajectory:
     """Iterate u -> linear flow + duhamel(u,..,u) to a fixed point.
 
-    Requires the horizon to satisfy the contraction condition for the data
-    size; expansion over three consecutive iterations raises
-    DivergenceError carrying the measured contraction factor.
+    Stops when the sup-l1 distance of two iterates is below tol or at the
+    rounding floor of the fields' size, whichever is larger.  Requires the
+    horizon to satisfy the contraction condition for the data size;
+    expansion over three consecutive iterations raises DivergenceError
+    carrying the measured contraction factor.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -149,7 +156,7 @@ def fixed_point(pair: InitialPair, k: int, horizon: float, tol: float,
         nxt = base + duhamel_trajectory([current] * k, degree)
         dist = nxt.sup_distance(current)
         distances.append(dist)
-        if dist < tol:
+        if dist < tol or dist <= _ROUNDING_FLOOR * nxt.sup_l1():
             return nxt
         if len(distances) >= 4 and all(
             distances[-i] > distances[-i - 1] for i in (1, 2, 3)

@@ -66,6 +66,23 @@ def test_barycentric_reproduces_closed_form(lattice):
     assert np.allclose(field.c, exact[keep], rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("degree", [4, 16, 33])
+def test_barycentric_rows_match_scalar_calls(degree):
+    nodes = chebyshev_nodes(degree, 0.9)
+    rng = np.random.default_rng(degree)
+    # random times plus quadrature times that land exactly on nodes
+    times = np.concatenate([rng.uniform(0.0, 0.9, 20), chebyshev_nodes(degree, 0.9),
+                            chebyshev_nodes(8, 0.45)])
+    rows = flow.barycentric_coeffs(nodes, times)
+    assert rows.shape == (times.size, nodes.size)
+    for t, row in zip(times, rows):
+        single = flow.barycentric_coeffs(nodes, t)
+        assert single.shape == nodes.shape
+        assert row.tobytes() == single.tobytes()
+    at_node = flow.barycentric_coeffs(nodes, nodes[3])
+    assert at_node.tobytes() == np.eye(nodes.size)[3].tobytes()
+
+
 # ----------------------------------------------------------------------
 # removable singularity
 # ----------------------------------------------------------------------

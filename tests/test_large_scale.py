@@ -16,7 +16,7 @@ conftest.py, which acceptance criterion 6 also evaluates.
 
 from gibq.construction import make_bump, schedule_from_N
 from gibq.norms import NormSpec, norm
-from gibq.series import partial_sum, tail_residual
+from gibq.series import fixed_point, partial_sum, tail_residual
 
 from conftest import BIG_N, DELTA, K, S
 
@@ -60,6 +60,17 @@ def test_partial_sum_satisfies_duhamel_equation():
     acc = partial_sum(bump.phi, K, 4, params.T, 16)
     residual = tail_residual(acc, bump.phi, K, 16)
     assert residual < 0.05 * acc.partial.sup_l1()
+
+
+def test_fixed_point_converges_at_the_rounding_floor():
+    # sup l1 is about 9e7 here, so the absolute tol lies below the rounding
+    # noise of the iterates; the iteration stops at that floor instead of
+    # reading the noise as expansion
+    params = schedule_from_N(BIG_N, K, S, delta_hint=DELTA)
+    bump = make_bump(params, params.lattice())
+    fp = fixed_point(bump.phi, K, params.T, 1e-9, 16)
+    acc = partial_sum(bump.phi, K, 4, params.T, 16)
+    assert fp.sup_distance(acc.partial) < 1e-3 * fp.sup_l1()
 
 
 def test_smoothed_sup_norm_exact_without_grid():

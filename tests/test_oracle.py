@@ -25,12 +25,14 @@ from conftest import hermitian_field
 # ----------------------------------------------------------------------
 
 def test_rk4_linear_mode_exact(lattice):
-    pair = InitialPair(SpectralField.delta(lattice, 7, 1.0),
+    # a real cosine mode: rk4_solve integrates real data only
+    pair = InitialPair(SpectralField.from_pairs(lattice, [(-7, 1.0), (7, 1.0)]),
                        SpectralField.zero(lattice))
     traj, diag = rk4_solve(pair, 1.0, 1e-2, 16, k=2, nonlinear=False)
     lam = lambda_symbol(7, lattice)
     for t, f in zip(traj.nodes, traj.fields):
         assert f.get(7).real == pytest.approx(math.cos(t * lam), abs=1e-8)
+        assert f.get(-7) == f.get(7)
     assert diag.blowup_time is None
 
 
@@ -66,25 +68,26 @@ def _forbidden(*args, **kwargs):
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_dense_conv_power_real_and_complex_paths_agree(monkeypatch, k):
-    u = _hermitian_block(80 + k, 40)
-    rot = np.exp(0.7j)
-    ref = _conv_power_reference(u, k)
+def test_dense_conv_power_half_block_matches_convolve(monkeypatch, k):
+    # the real transform pair on modes 0..K gives the non-negative half of
+    # the full block's self-convolution, with the full block's tail sums
+    monkeypatch.setattr(np.fft, "fft", _forbidden)
+    K = 40
+    u = _hermitian_block(80 + k, K)
+    kept_ref, discarded_ref, total_ref = _conv_power_reference(u, k)
+    kept, discarded, total = _dense_conv_power(u[K:], k)
+    assert kept.size == K + 1
+    assert kept[0].imag == 0.0
+    _assert_conv_power_matches((kept, discarded, total),
+                               (kept_ref[K:], discarded_ref, total_ref))
 
-    # the Hermitian block takes the real transforms only ...
-    with monkeypatch.context() as mp:
-        mp.setattr(np.fft, "fft", _forbidden)
-        real = _dense_conv_power(u, k)
-    _assert_conv_power_matches(real, ref)
-    kept = real[0]
-    assert np.array_equal(kept, kept[::-1].conj())
 
-    # ... and the rotated block, no longer Hermitian, the complex ones
-    with monkeypatch.context() as mp:
-        mp.setattr(np.fft, "rfft", _forbidden)
-        rotated = _dense_conv_power(rot * u, k)
-    _assert_conv_power_matches(
-        rotated, (rot**k * ref[0], ref[1], ref[2]))
+def test_rk4_rejects_non_hermitian_data(lattice):
+    real = hermitian_field(lattice, 61, 6, amplitude=0.8)
+    pair = InitialPair(real.scale(np.exp(0.7j)), real)
+    assert real.is_hermitian(0.0) and not pair.is_hermitian(0.0)
+    with pytest.raises(ValueError, match="Hermitian"):
+        rk4_solve(pair, 0.5, 0.5 / 200, closure_from_depth(pair, 2, 6), k=2)
 
 
 def test_rk4_hermitian_data_stays_on_the_real_path(monkeypatch, lattice):
@@ -96,8 +99,8 @@ def test_rk4_hermitian_data_stays_on_the_real_path(monkeypatch, lattice):
     assert diag.blowup_time is None
     assert traj.fields[-1].nnz > 0
     assert traj.is_hermitian(0.0)
-    # the stages of the step that blows up hold NaN; they stay on the
-    # real path too
+    # a run that blows up records only the nodes before the blow-up, each
+    # mirrored from the state's modes 0..K, so exactly Hermitian too
     big = InitialPair(
         SpectralField.from_pairs(lattice, [(-1, 1000.0), (1, 1000.0)]),
         SpectralField.zero(lattice),
