@@ -11,9 +11,8 @@ The Duhamel operator computes, per output frequency xi,
     integral_0^t sin((t-t') lam(xi)) lam(xi) [u_1(t') ... u_k(t')]^(xi) dt'
 
 by Clenshaw-Curtis quadrature, with the k-fold product formed at many
-times at once by one FFT convolution on a grid of cells xi = m*B + r: the
-1-D bounding box for supports without wide gaps, a small dense (m, r) grid
-for supports made of clusters spaced B apart.  A whole trajectory forms
+times at once by the fold engine of gibq.lattice (fold_product: one FFT
+convolution on a grid of cells xi = m*B + r).  A whole trajectory forms
 the product once, on the Chebyshev grid of degree D = sum of the argument
 degrees: the product of the arguments' interpolants is a polynomial of
 degree D in time, so interpolating it from that grid to the quadrature
@@ -34,8 +33,8 @@ from .lattice import (
     PRUNE_REL,
     FrequencyLattice,
     SpectralField,
-    _next_pow2,
     _prune_arrays,
+    fold_product,
     lambda_symbol,
 )
 
@@ -287,13 +286,6 @@ def _check_args(args):
             raise LatticeMismatchError("duhamel arguments with different horizons")
 
 
-# Most cells per time the batched fold will allocate; supports whose
-# smallest fold grid is larger (e.g. cubes around astronomically large
-# frequencies that no two-scale split packs) take the sparse per-time path
-# instead.
-_DENSE_FOLD_CAP = 1 << 23
-
-
 def duhamel(args: list, t_eval: float, quad_degree: int = DEFAULT_DEGREE,
             prune: float = PRUNE_REL) -> SpectralField:
     """Multilinear Duhamel integral of k trajectories at time t_eval.
@@ -369,180 +361,12 @@ def _integrate(lattice, k, xi, values, t_eval, quad_degree, prune) -> SpectralFi
         out = out * lattice.weight ** (k - 1)
     xi, out = _prune_arrays(xi, out, prune)
     keep = out != 0
-    xi, out = xi[keep], out[keep]
-    if xi.size:
-        worst = int(xi[np.argmax(np.abs(xi))])
-        if abs(worst) > lattice.cutoff:
-            from .errors import CutoffOverflowError
-
-            raise CutoffOverflowError(worst, lattice.cutoff)
-    return SpectralField(lattice, xi, out)
+    return SpectralField(lattice, xi[keep], out[keep])
 
 
 def _product_at(args, times, batch, prune):
-    """The k-fold product of the arguments at the given times.
-
-    Returns (xi, values): the frequencies where the product is nonzero at
-    some time and a (times x xi) matrix, each time pruned at prune times
-    its largest coefficient.  It is built by one FFT
-    convolution on a grid of cells xi = m*B + r (see _fold_layout), at
-    most batch times per transform: a single row (the 1-D bounding box)
-    for supports without wide gaps, a dense (m, r) grid for supports made
-    of clusters spaced B apart.  Supports whose grid would exceed the
-    dense cap fall back to per-time sparse convolutions.
-    """
-    rows = [traj.rows_at(times) for traj in args]
-    if any(sup.size == 0 for sup, _ in rows):
-        return np.empty(0, np.int64), np.empty((times.size, 0), np.complex128)
-    layout = _fold_layout([sup for sup, _ in rows])
-    if layout is None:
-        return _product_sparse(rows, prune)
-    return _product_grid(rows, layout, batch, prune)
-
-
-def _fold_layout(sups):
-    """Grid for the product fold, or None when none fits the dense cap.
-
-    Returns (B, parts, (rows, cols)) with one (m, col, r0) per support:
-    the support is xi = m*B + r0 + col, with row m and column col counted
-    from zero, and rows x cols is the shape of the linear convolution.
-    The two-scale grid of _cluster_split is used only when its padded
-    transform is smaller than the padded 1-D box.  A support at least half
-    full has no gaps that a split could remove, so when every support is,
-    the 1-D box is taken without looking for clusters.
-    """
-    box = _box_layout(sups)
-    box_cells = box[2][1]
-    fits = box_cells <= _DENSE_FOLD_CAP
-    if all(2 * sup.size > int(sup[-1]) - int(sup[0]) for sup in sups):
-        return box if fits else None
-    split = _cluster_split(sups)
-    if split is not None:
-        n_rows, n_cols = split[2]
-        padded = _next_pow2(n_rows) * _next_pow2(n_cols)
-        if n_rows * n_cols <= _DENSE_FOLD_CAP and (not fits or padded < _next_pow2(box_cells)):
-            return split
-    return box if fits else None
-
-
-def _box_layout(sups):
-    """The 1-D bounding box: B = 0 and every support in row 0."""
-    box_cells = sum(int(sup[-1]) - int(sup[0]) for sup in sups) + 1
-    return 0, [(0, sup - sup[0], int(sup[0])) for sup in sups], (1, box_cells)
-
-
-def _cluster_split(sups):
-    """Two-scale split xi = m*B + r of supports made of spaced clusters.
-
-    The supports are cut into clusters at their widest gaps: at the
-    largest ratio between two successive distinct gap widths (counting
-    width 1, no hole, as the smallest).  B is the closest spacing of two
-    cluster midpoints within one support, and every cluster goes whole
-    into the row m nearest to (its midpoint - the support's first
-    midpoint) / B.  The split is exact for any B; B only sets the grid
-    size.  Returns a layout as _fold_layout does, or None when no support
-    has two clusters.
-    """
-    gaps = [np.diff(sup) for sup in sups]
-    widths = np.unique(np.concatenate(gaps + [[1]]))
-    cut_at = widths[np.argmax(widths[1:] / widths[:-1])] if widths.size > 1 else 1
-    clusters = []
-    spacing2 = None
-    for sup, g in zip(sups, gaps):
-        cut = np.flatnonzero(g > cut_at)
-        starts = np.append(0, cut + 1)
-        mid2 = sup[starts] + sup[np.append(cut, sup.size - 1)]
-        clusters.append((mid2, np.diff(np.append(starts, sup.size))))
-        if cut.size:
-            closest = int(np.min(np.diff(mid2)))
-            spacing2 = closest if spacing2 is None else min(spacing2, closest)
-    if spacing2 is None:
-        return None
-    base = max(1, (spacing2 + 1) // 2)
-    parts = []
-    n_rows = n_cols = 1
-    for sup, (mid2, sizes) in zip(sups, clusters):
-        m = np.repeat((mid2 - mid2[0] + base) // (2 * base), sizes)
-        r = sup - m * base
-        r0 = int(r.min())
-        parts.append((m, r - r0, r0))
-        n_rows += int(m[-1])
-        n_cols += int(r.max()) - r0
-    return base, parts, (n_rows, n_cols)
-
-
-def _product_grid(rows, layout, batch, prune):
-    """Batched fold of all times on one FFT grid.
-
-    Every argument is scattered into a (times, M, R) array of its cells
-    xi = m*B + r, the transforms are multiplied, and the inverse holds the
-    product at every time.  Where the r-span of the product reaches B,
-    cells (m, r) and (m+1, r-B) are the same frequency and are added
-    together (the carry).  The times are split into equal batches of at
-    most batch times, one transform each.  Each time's product is pruned
-    at prune times its largest coefficient, and only the cells nonzero at
-    some time are returned.
-    """
-    base, parts, (n_rows, n_cols) = layout
-    n_times = rows[0][1].shape[0]
-    width = base if base and n_cols > base else n_cols
-    folds = -(-n_cols // width)
-    product = np.zeros((n_times, n_rows + folds - 1, width), dtype=np.complex128)
-    for times in np.array_split(np.arange(n_times), -(-n_times // batch)):
-        _fold_batch(product[times[0]:times[-1] + 1], rows, layout, times[0], width, prune)
-    product = product.reshape(n_times, -1)
-    cells = np.flatnonzero(np.any(product != 0, axis=0))
-    m_idx, col_idx = np.divmod(cells, width)
-    xi = m_idx * base + (sum(r0 for _, _, r0 in parts) + col_idx)
-    return xi, np.take(product, cells, axis=1)
-
-
-def _fold_batch(out, rows, layout, lo, width, prune):
-    """Add the product at times lo, lo+1, ... into out, carried rows of
-    the given width, and prune it per time; the transform arrays are freed
-    on return."""
-    _, parts, (n_rows, n_cols) = layout
-    grids = np.zeros((len(rows), out.shape[0], _next_pow2(n_rows), _next_pow2(n_cols)),
-                     dtype=np.complex128)
-    for grid, (_, mat), (m, col, _) in zip(grids, rows, parts):
-        grid[:, m, col] = mat[lo:lo + out.shape[0]]
-    # a single row takes plain transforms along its last axis
-    fft, ifft = (np.fft.fft, np.fft.ifft) if n_rows == 1 else (np.fft.fft2, np.fft.ifft2)
-    fft(grids, out=grids)
-    prod = grids[0]
-    for spec in grids[1:]:
-        prod *= spec
-    dense = ifft(prod, out=prod)[:, :n_rows, :n_cols]
-    for f in range(out.shape[1] - n_rows + 1):
-        cols = dense[:, :, f * width:(f + 1) * width]
-        out[:, f:f + n_rows, :cols.shape[2]] += cols
-    # drop each time's rounding dust, as the sparse fold does: interpolated
-    # to an early output node, the dust of the late times would outgrow the
-    # small product there and fill the gaps of its support
-    mags = np.abs(out)
-    out[mags < prune * np.max(mags, axis=(1, 2), keepdims=True)] = 0
-
-
-def _product_sparse(rows, prune):
-    """Per-time sparse fold for supports whose fold grid exceeds the cap."""
-    from .lattice import _convolve_arrays
-
-    pieces = []
-    for q in range(rows[0][1].shape[0]):
-        xi, c = rows[0][0], rows[0][1][q]
-        keep = c != 0
-        xi, c = xi[keep], c[keep]
-        for sup, mat in rows[1:]:
-            cq = mat[q]
-            keep = cq != 0
-            if xi.size == 0 or not np.any(keep):
-                xi, c = np.empty(0, np.int64), np.empty(0, np.complex128)
-                break
-            xi, c = _convolve_arrays(xi, c, sup[keep], cq[keep])
-            xi, c = _prune_arrays(xi, c, prune)
-        pieces.append((xi, c))
-    support = np.unique(np.concatenate([xi for xi, _ in pieces]))
-    values = np.zeros((len(pieces), support.size), dtype=np.complex128)
-    for row, (xi, c) in zip(values, pieces):
-        row[np.searchsorted(support, xi)] = c
-    return support, values
+    """The k-fold product of the arguments at the given times: the
+    frequencies where it is nonzero at some time and a (times x xi)
+    matrix, folded at most batch times per transform (see
+    lattice.fold_product)."""
+    return fold_product([traj.rows_at(times) for traj in args], batch, prune)

@@ -5,7 +5,15 @@ amplitudes.  A field with index xi on a lattice of period P represents the
 mode exp(2*pi*i*xi*x/P), so the physical (radian) frequency is
 omega = 2*pi*xi/P and the dual-variable used by norms is nu = xi/P.  On the
 default period-1 torus the dual lattice is the integers and every
-convolution is a finite exact sum.
+convolution is a finite sum.
+
+Every convolution runs through one engine, fold_product: the k-fold
+product of sparse fields at many times at once, by one FFT convolution on
+a grid of cells xi = m*B + r (the 1-D bounding box when B = 0, a dense
+(m, r) grid for supports made of clusters spaced B apart).  convolve is
+one fold of two fields; its support is exactly the Minkowski sum of the
+input supports and its values are exact to rounding.  The Duhamel
+operator of gibq.flow folds its k trajectories with the same engine.
 
 The "line_approx" lattice kind is a scaled torus used as a surrogate for
 the real line: dual points are spaced 1/P apart and quadrature-weighted
@@ -20,15 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffOverflowError, LatticeMismatchError
+from .errors import CapacityError, CutoffOverflowError, LatticeMismatchError
 
 # Relative prune threshold applied after convolutions; see convolve().
 PRUNE_REL = 1e-14
 
-# Schoolbook accumulation below this many coefficient products, FFT above.
-_EXACT_PRODUCT_CAP = 20_000
-# Largest dense bounding box the FFT path will allocate.
-_FFT_BOX_CAP = 1 << 23
+# Most cells per time a fold grid may hold; a product whose smallest grid
+# is larger (e.g. cubes around astronomically large frequencies that no
+# two-scale split packs) raises CapacityError.
+_FOLD_CAP = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -257,49 +265,6 @@ def _check_same_lattice(f: SpectralField, g: SpectralField):
 # convolution
 # ----------------------------------------------------------------------
 
-def _convolve_arrays(xi1, c1, xi2, c2):
-    """Convolve two sorted sparse coefficient arrays.
-
-    Returns (xi, c) sorted, zeros dropped, no pruning.  Small products use
-    exact schoolbook accumulation on a dense bounding box; large products
-    use an FFT over the box.  Both paths are deterministic for fixed inputs.
-    """
-    lo = int(xi1[0]) + int(xi2[0])
-    hi = int(xi1[-1]) + int(xi2[-1])
-    box = hi - lo + 1
-    n_prod = xi1.size * xi2.size
-    if box <= _FFT_BOX_CAP:
-        if n_prod <= _EXACT_PRODUCT_CAP:
-            out = np.zeros(box, dtype=np.complex128)
-            idx = (xi1[:, None] + xi2[None, :] - lo).ravel()
-            np.add.at(out, idx, (c1[:, None] * c2[None, :]).ravel())
-        else:
-            # box equals span(f) + span(g) - 1, the full linear conv length
-            n2 = 1 << int(box - 1).bit_length()
-            a = np.zeros(n2, dtype=np.complex128)
-            b = np.zeros(n2, dtype=np.complex128)
-            a[xi1 - int(xi1[0])] = c1
-            b[xi2 - int(xi2[0])] = c2
-            out = np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))[:box]
-        keep = out != 0
-        xi = lo + np.nonzero(keep)[0].astype(np.int64)
-        return xi, out[keep]
-    # Sparse supports spanning a huge index range: memory-bounded merging.
-    acc_xi = np.empty(0, np.int64)
-    acc_c = np.empty(0, np.complex128)
-    chunk = max(1, 8 * _EXACT_PRODUCT_CAP // max(1, int(xi2.size)))
-    for start in range(0, xi1.size, chunk):
-        block = slice(start, start + chunk)
-        s = (xi1[block][:, None] + xi2[None, :]).ravel()
-        v = (c1[block][:, None] * c2[None, :]).ravel()
-        uniq, inv = np.unique(np.concatenate([acc_xi, s]), return_inverse=True)
-        merged = np.zeros(uniq.size, dtype=np.complex128)
-        np.add.at(merged, inv, np.concatenate([acc_c, v]))
-        acc_xi, acc_c = uniq, merged
-    keep = acc_c != 0
-    return acc_xi[keep], acc_c[keep]
-
-
 def _prune_arrays(xi, c, prune_rel: float):
     if c.size == 0 or prune_rel <= 0:
         return xi, c
@@ -311,26 +276,29 @@ def _prune_arrays(xi, c, prune_rel: float):
 def convolve(f: SpectralField, g: SpectralField, prune: float = PRUNE_REL) -> SpectralField:
     """Sparse convolution (f*g)(xi) = sum_{a+b=xi} f(a) g(b) * weight.
 
-    On the torus the dual weight is one and the sum is exact; on the
-    line surrogate the weight 1/period makes the sum a Riemann form of
-    the continuum convolution, so the physical-space product transforms
+    On the torus the dual weight is one and the sum is exact to rounding;
+    on the line surrogate the weight 1/period makes the sum a Riemann form
+    of the continuum convolution, so the physical-space product transforms
     correctly on both lattice kinds.
 
-    Coefficients below prune*max|output| are dropped afterwards to keep
-    supports from filling with rounding dust; pass prune=0 to disable.
-    Raises LatticeMismatchError / CutoffOverflowError per the contracts.
+    The product is one fold (see fold_product) of f and g together with a
+    row of ones each: that row counts the pairs a + b = xi, an integer, so
+    the result lives exactly on the Minkowski sum of the supports and
+    carries no FFT rounding dust outside it.  Coefficients below
+    prune*max|output| are dropped afterwards; pass prune=0 to keep every
+    nonzero sum.  Raises LatticeMismatchError, CutoffOverflowError and
+    CapacityError per the contracts.
     """
     _check_same_lattice(f, g)
     if f.nnz == 0 or g.nnz == 0:
         return SpectralField.zero(f.lattice)
-    xi, c = _convolve_arrays(f.xi, f.c, g.xi, g.c)
+    rows = [(h.xi, np.stack([h.c, np.ones(h.nnz)])) for h in (f, g)]
+    xi, (c, count) = fold_product(rows, 2, 0.0)
+    keep = (count.real > 0.5) & (c != 0)
+    xi, c = xi[keep], c[keep]
     if f.lattice.weight != 1.0:
         c = c * f.lattice.weight
     xi, c = _prune_arrays(xi, c, prune)
-    if xi.size:
-        worst = int(xi[np.argmax(np.abs(xi))])
-        if abs(worst) > f.lattice.cutoff:
-            raise CutoffOverflowError(worst, f.lattice.cutoff)
     return SpectralField(f.lattice, xi, c)
 
 
@@ -342,6 +310,153 @@ def power_k(f: SpectralField, k: int, prune: float = PRUNE_REL) -> SpectralField
     for _ in range(k - 1):
         out = convolve(out, f, prune=prune)
     return out
+
+
+# ----------------------------------------------------------------------
+# the fold engine
+# ----------------------------------------------------------------------
+
+def fold_product(rows, batch: int, prune: float):
+    """The product of k sparse fields at many times, on one FFT grid.
+
+    rows holds one (support, times x values) pair per factor.  Returns
+    (xi, values): the frequencies where the product is nonzero at some
+    time and a (times x xi) matrix, each time pruned at prune times its
+    largest coefficient.  It is built by one FFT convolution on a grid of
+    cells xi = m*B + r (see _fold_layout), at most batch times per
+    transform: a single row (the 1-D bounding box) for supports without
+    wide gaps, a dense (m, r) grid for supports made of clusters spaced B
+    apart.  Raises CapacityError when no grid fits under _FOLD_CAP cells.
+    """
+    if any(sup.size == 0 for sup, _ in rows):
+        return np.empty(0, np.int64), np.empty((rows[0][1].shape[0], 0), np.complex128)
+    layout = _fold_layout([sup for sup, _ in rows])
+    if layout is None:
+        raise CapacityError(f"no fold grid of the product fits in {_FOLD_CAP} cells")
+    return _product_grid(rows, layout, batch, prune)
+
+
+def _fold_layout(sups):
+    """Grid for the product fold, or None when none fits under _FOLD_CAP.
+
+    Returns (B, parts, (rows, cols)) with one (m, col, r0) per support:
+    the support is xi = m*B + r0 + col, with row m and column col counted
+    from zero, and rows x cols is the shape of the linear convolution.
+    The two-scale grid of _cluster_split is used only when its padded
+    transform is smaller than the padded 1-D box.  A support at least half
+    full has no gaps that a split could remove, so when every support is,
+    the 1-D box is taken without looking for clusters.
+    """
+    box = _box_layout(sups)
+    box_cells = box[2][1]
+    fits = box_cells <= _FOLD_CAP
+    if all(2 * sup.size > int(sup[-1]) - int(sup[0]) for sup in sups):
+        return box if fits else None
+    split = _cluster_split(sups)
+    if split is not None:
+        n_rows, n_cols = split[2]
+        padded = _next_pow2(n_rows) * _next_pow2(n_cols)
+        if n_rows * n_cols <= _FOLD_CAP and (not fits or padded < _next_pow2(box_cells)):
+            return split
+    return box if fits else None
+
+
+def _box_layout(sups):
+    """The 1-D bounding box: B = 0 and every support in row 0."""
+    box_cells = sum(int(sup[-1]) - int(sup[0]) for sup in sups) + 1
+    return 0, [(0, sup - sup[0], int(sup[0])) for sup in sups], (1, box_cells)
+
+
+def _cluster_split(sups):
+    """Two-scale split xi = m*B + r of supports made of spaced clusters.
+
+    The supports are cut into clusters at their widest gaps: at the
+    largest ratio between two successive distinct gap widths (counting
+    width 1, no hole, as the smallest).  B is the closest spacing of two
+    cluster midpoints within one support, and every cluster goes whole
+    into the row m nearest to (its midpoint - the support's first
+    midpoint) / B.  The split is exact for any B; B only sets the grid
+    size.  Returns a layout as _fold_layout does, or None when no support
+    has two clusters.
+    """
+    gaps = [np.diff(sup) for sup in sups]
+    widths = np.unique(np.concatenate(gaps + [[1]]))
+    cut_at = widths[np.argmax(widths[1:] / widths[:-1])] if widths.size > 1 else 1
+    clusters = []
+    spacing2 = None
+    for sup, g in zip(sups, gaps):
+        cut = np.flatnonzero(g > cut_at)
+        starts = np.append(0, cut + 1)
+        mid2 = sup[starts] + sup[np.append(cut, sup.size - 1)]
+        clusters.append((mid2, np.diff(np.append(starts, sup.size))))
+        if cut.size:
+            closest = int(np.min(np.diff(mid2)))
+            spacing2 = closest if spacing2 is None else min(spacing2, closest)
+    if spacing2 is None:
+        return None
+    base = max(1, (spacing2 + 1) // 2)
+    parts = []
+    n_rows = n_cols = 1
+    for sup, (mid2, sizes) in zip(sups, clusters):
+        m = np.repeat((mid2 - mid2[0] + base) // (2 * base), sizes)
+        r = sup - m * base
+        r0 = int(r.min())
+        parts.append((m, r - r0, r0))
+        n_rows += int(m[-1])
+        n_cols += int(r.max()) - r0
+    return base, parts, (n_rows, n_cols)
+
+
+def _product_grid(rows, layout, batch, prune):
+    """Batched fold of all times on one FFT grid.
+
+    Every argument is scattered into a (times, M, R) array of its cells
+    xi = m*B + r, the transforms are multiplied, and the inverse holds the
+    product at every time.  Where the r-span of the product reaches B,
+    cells (m, r) and (m+1, r-B) are the same frequency and are added
+    together (the carry).  The times are split into equal batches of at
+    most batch times, one transform each.  Each time's product is pruned
+    at prune times its largest coefficient, and only the cells nonzero at
+    some time are returned.
+    """
+    base, parts, (n_rows, n_cols) = layout
+    n_times = rows[0][1].shape[0]
+    width = base if base and n_cols > base else n_cols
+    folds = -(-n_cols // width)
+    product = np.zeros((n_times, n_rows + folds - 1, width), dtype=np.complex128)
+    for times in np.array_split(np.arange(n_times), -(-n_times // batch)):
+        _fold_batch(product[times[0]:times[-1] + 1], rows, layout, times[0], width, prune)
+    product = product.reshape(n_times, -1)
+    cells = np.flatnonzero(np.any(product != 0, axis=0))
+    m_idx, col_idx = np.divmod(cells, width)
+    xi = m_idx * base + (sum(r0 for _, _, r0 in parts) + col_idx)
+    return xi, np.take(product, cells, axis=1)
+
+
+def _fold_batch(out, rows, layout, lo, width, prune):
+    """Add the product at times lo, lo+1, ... into out, carried rows of
+    the given width, and prune it per time; the transform arrays are freed
+    on return."""
+    _, parts, (n_rows, n_cols) = layout
+    grids = np.zeros((len(rows), out.shape[0], _next_pow2(n_rows), _next_pow2(n_cols)),
+                     dtype=np.complex128)
+    for grid, (_, mat), (m, col, _) in zip(grids, rows, parts):
+        grid[:, m, col] = mat[lo:lo + out.shape[0]]
+    # a single row takes plain transforms along its last axis
+    fft, ifft = (np.fft.fft, np.fft.ifft) if n_rows == 1 else (np.fft.fft2, np.fft.ifft2)
+    fft(grids, out=grids)
+    prod = grids[0]
+    for spec in grids[1:]:
+        prod *= spec
+    dense = ifft(prod, out=prod)[:, :n_rows, :n_cols]
+    for f in range(out.shape[1] - n_rows + 1):
+        cols = dense[:, :, f * width:(f + 1) * width]
+        out[:, f:f + n_rows, :cols.shape[2]] += cols
+    # drop each time's rounding dust: interpolated to an early output node,
+    # the dust of the late times would outgrow the small product there and
+    # fill the gaps of its support
+    mags = np.abs(out)
+    out[mags < prune * np.max(mags, axis=(1, 2), keepdims=True)] = 0
 
 
 # ----------------------------------------------------------------------

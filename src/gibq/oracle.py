@@ -27,7 +27,7 @@ import numpy as np
 from .construction import CUBE_CENTERS, BumpData
 from .errors import CapacityError, TruncationTailError
 from .flow import InitialPair, Trajectory, chebyshev_nodes, stable_sinc
-from .lattice import FrequencyLattice, SpectralField, lambda_symbol
+from .lattice import FrequencyLattice, SpectralField, convolve, lambda_symbol
 
 _TUPLE_BUDGET = 10**7
 _TAIL_TOL = 1e-10
@@ -337,8 +337,6 @@ def convolution_sandwich(a: int, b: int, A: int) -> SandwichReport:
                        np.ones(xs.size, np.complex128))
     fb = SpectralField(lattice, (b + xs).astype(np.int64),
                        np.ones(xs.size, np.complex128))
-    from .lattice import convolve
-
     conv = convolve(fa, fb, prune=0.0)
     inner = a + b + xs
     inner_vals = np.array([conv.get(int(x)).real for x in inner])

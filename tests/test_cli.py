@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +194,16 @@ def test_verify_all_quick_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert all(line.endswith("true") for line in
                a.read_text().strip().splitlines()[1:])
+
+
+def test_verify_all_quick_matches_golden(tmp_path):
+    # tests/data/verify_all_quick.csv holds the output of an earlier
+    # version: a change may move the values by rounding only
+    out = tmp_path / "quick.csv"
+    assert run(["verify-all", "--quick", "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "data" / "verify_all_quick.csv"
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    ref = [line.split(",") for line in golden.read_text().splitlines()]
+    assert [(name, ok) for name, _, ok in rows] == [(name, ok) for name, _, ok in ref]
+    for (name, value, _), (_, expected, _) in zip(rows[1:], ref[1:]):
+        assert math.isclose(float(value), float(expected), rel_tol=1e-12, abs_tol=0.0), name

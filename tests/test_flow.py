@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gibq import flow
+from gibq import lattice as lattice_module
 from gibq.construction import make_bump, schedule_from_N
-from gibq.errors import LatticeMismatchError
+from gibq.errors import CapacityError, CutoffOverflowError, LatticeMismatchError
 from gibq.flow import (
     InitialPair,
     Trajectory,
@@ -190,6 +191,14 @@ def test_duhamel_horizon_mismatch(lattice):
         duhamel([f, g], 0.5)
 
 
+def test_duhamel_cutoff_overflow_names_frequency():
+    lat = FrequencyLattice(period=1.0, cutoff=10)
+    f = constant_trajectory(lat, SpectralField.delta(lat, 7, 1.0), 0.5)
+    with pytest.raises(CutoffOverflowError) as err:
+        duhamel([f, f], 0.5)
+    assert err.value.frequency == 14
+
+
 def test_duhamel_trajectory_matches_closed_form(lattice):
     c, horizon = 1.2, 0.8
     t1 = constant_trajectory(lattice, SpectralField.delta(lattice, 3, c), horizon)
@@ -223,22 +232,47 @@ def test_trajectory_json(lattice):
 
 
 # ----------------------------------------------------------------------
-# the three folds of the Duhamel product agree
+# the grid folds of the Duhamel product agree with a schoolbook fold
 # ----------------------------------------------------------------------
 
+def schoolbook_fold(rows, batch, prune):
+    """Reference for lattice.fold_product: at each time, every product of
+    one value per factor added at its index sum, then pruned as the
+    engine prunes each time."""
+    n_times = rows[0][1].shape[0]
+    if any(sup.size == 0 for sup, _ in rows):
+        return np.empty(0, np.int64), np.empty((n_times, 0), np.complex128)
+    xi, values = np.zeros(1, np.int64), np.ones((n_times, 1), np.complex128)
+    for sup, mat in rows:
+        xi, inv = np.unique((xi[:, None] + sup[None, :]).ravel(), return_inverse=True)
+        sums = np.empty((n_times, xi.size), np.complex128)
+        for row, a, b in zip(sums, values, mat):
+            prods = np.outer(a, b).ravel()
+            row.real = np.bincount(inv, prods.real, xi.size)
+            row.imag = np.bincount(inv, prods.imag, xi.size)
+        values = sums
+    mags = np.abs(values)
+    values[mags < prune * np.max(mags, axis=1, keepdims=True)] = 0
+    keep = np.any(values != 0, axis=0)
+    return xi[keep], values[:, keep]
+
+
+# "grid" and "box" force a layout on the fold engine; "sparse" replaces
+# the engine, where flow calls it, by the schoolbook reference
 FOLDS = {
-    "grid": lambda sups: flow._cluster_split(sups) or flow._box_layout(sups),
-    "box": flow._box_layout,
-    "sparse": lambda sups: None,
+    "grid": (lattice_module, "_fold_layout",
+             lambda sups: lattice_module._cluster_split(sups) or lattice_module._box_layout(sups)),
+    "box": (lattice_module, "_fold_layout", lattice_module._box_layout),
+    "sparse": (flow, "fold_product", schoolbook_fold),
 }
 
 
 def fold_outputs(monkeypatch, args, t_eval, folds):
     out = {}
     for name in folds:
-        monkeypatch.setattr(flow, "_fold_layout", FOLDS[name])
+        monkeypatch.setattr(*FOLDS[name])
         out[name] = duhamel(args, t_eval)
-    monkeypatch.undo()
+        monkeypatch.undo()
     return out
 
 
@@ -285,7 +319,7 @@ def test_grid_fold_carries_wide_rows(monkeypatch):
     field = SpectralField(lattice, xi, c)
     traj = linear_flow(InitialPair(field, field.scale(0.5)), 0.7, 12)
     sups = [traj.support_and_matrix()[0]] * 2
-    base, _, (_, n_cols) = flow._cluster_split(sups)
+    base, _, (_, n_cols) = lattice_module._cluster_split(sups)
     assert n_cols > base
     for args in ([traj, traj], [traj, traj, traj]):
         assert_folds_agree(fold_outputs(monkeypatch, args, 0.7, FOLDS))
@@ -299,8 +333,8 @@ def test_single_cluster_takes_the_box(monkeypatch, lattice):
     def no_split(sups):
         raise AssertionError("a single cluster was split")
 
-    monkeypatch.setattr(flow, "_cluster_split", no_split)
-    base, parts, _ = flow._fold_layout([sup, sup])
+    monkeypatch.setattr(lattice_module, "_cluster_split", no_split)
+    base, parts, _ = lattice_module._fold_layout([sup, sup])
     assert base == 0 and all(m == 0 for m, _, _ in parts)
     monkeypatch.undo()
     assert_folds_agree(fold_outputs(monkeypatch, [traj, traj], 0.6, FOLDS))
@@ -320,9 +354,24 @@ def two_cluster_trajectory(lattice, degree=12, horizon=0.7):
     return linear_flow(InitialPair(field, field.scale(0.5)), horizon, degree)
 
 
+def test_fold_grid_above_the_cap_raises(monkeypatch):
+    # no fallback path: a product whose smallest grid exceeds the cap fails
+    lattice = FrequencyLattice(period=1.0, cutoff=1 << 20)
+    traj = two_cluster_trajectory(lattice)
+    sups = [traj.support_and_matrix()[0]] * 2
+    n_rows, n_cols = lattice_module._cluster_split(sups)[2]
+    box_cells = lattice_module._box_layout(sups)[2][1]
+    monkeypatch.setattr(lattice_module, "_FOLD_CAP", min(n_rows * n_cols, box_cells) - 1)
+    field = traj.fields[0]
+    with pytest.raises(CapacityError):
+        lattice_module.convolve(field, field)
+    with pytest.raises(CapacityError):
+        duhamel([traj, traj], 0.7)
+
+
 def assert_trajectory_matches_single_times(monkeypatch, args, folds):
     for name in folds:
-        monkeypatch.setattr(flow, "_fold_layout", FOLDS[name])
+        monkeypatch.setattr(*FOLDS[name])
         traj = duhamel_trajectory(args)
         scale = max(f.sup() for f in traj.fields)
         assert scale > 0, name
@@ -337,7 +386,7 @@ def assert_trajectory_matches_single_times(monkeypatch, args, folds):
 def test_trajectory_matches_single_times_with_carry(monkeypatch):
     lattice = FrequencyLattice(period=1.0, cutoff=1 << 20)
     traj = two_cluster_trajectory(lattice)
-    base, _, (_, n_cols) = flow._cluster_split([traj.support_and_matrix()[0]] * 2)
+    base, _, (_, n_cols) = lattice_module._cluster_split([traj.support_and_matrix()[0]] * 2)
     assert n_cols > base
     for args in ([traj, traj], [traj, traj, traj]):
         assert_trajectory_matches_single_times(monkeypatch, args, FOLDS)
@@ -403,7 +452,7 @@ def test_transform_batches_stay_within_quadrature_size(monkeypatch, layout, quad
             return _transform(a, *rest, **kw)
 
         monkeypatch.setattr(np.fft, name, spy)
-    monkeypatch.setattr(flow, "_fold_layout", FOLDS[layout])
+    monkeypatch.setattr(*FOLDS[layout])
     for args in ([traj, traj], [traj, traj, traj]):
         batches.clear()
         duhamel_trajectory(args, quad_degree=quad_degree)

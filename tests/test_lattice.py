@@ -1,6 +1,5 @@
 import json
 import math
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -182,23 +181,6 @@ def test_hermitian_preserved_by_convolve(seed):
     assert convolve(f, g).is_hermitian(1e-12)
 
 
-# Cap settings that force each path of _convolve_arrays on small fields;
-# a product cap of one also cuts the merge into many chunks.
-CONVOLVE_PATHS = {
-    "schoolbook": {},
-    "fft_box": {"_EXACT_PRODUCT_CAP": 0},
-    "chunked_merge": {"_FFT_BOX_CAP": 0, "_EXACT_PRODUCT_CAP": 1},
-}
-
-
-@contextmanager
-def convolve_path(name):
-    with pytest.MonkeyPatch.context() as mp:
-        for cap, value in CONVOLVE_PATHS[name].items():
-            mp.setattr(lattice_module, cap, value)
-        yield
-
-
 def mirror(f):
     return SpectralField(f.lattice, -f.xi[::-1], np.conj(f.c[::-1]))
 
@@ -207,53 +189,45 @@ def assert_close(f, g, scale):
     assert (f - g).l1() <= 1e-12 * max(scale, 1e-300)
 
 
-@pytest.mark.parametrize("path", ["schoolbook", "fft_box", "chunked_merge"])
-def test_forced_convolve_paths_are_taken(path):
-    lat = FrequencyLattice(period=1.0, cutoff=1 << 20)
-    f = hermitian_field(lat, 3, max_freq=5)
-    g = hermitian_field(lat, 4, max_freq=4)
-    calls = {"fft": 0, "unique": 0}
-    with pytest.MonkeyPatch.context() as mp:
-        for name, owner in (("fft", np.fft), ("unique", np)):
-            original = getattr(owner, name)
-
-            def counted(*a, _name=name, _original=original, **kw):
-                calls[_name] += 1
-                return _original(*a, **kw)
-
-            mp.setattr(owner, name, counted)
-        with convolve_path(path):
-            convolve(f, g, prune=0.0)
-    assert (calls["fft"] > 0) == (path == "fft_box")
-    # the merge takes one np.unique per chunk
-    assert (calls["unique"] > 1) == (path == "chunked_merge")
+@given(sparse_fields(), sparse_fields())
+def test_convolve_matches_double_sum(f, g):
+    fg = convolve(f, g, prune=0.0)
+    if f.nnz == 0 or g.nnz == 0:
+        assert fg.nnz == 0
+        return
+    # reference: every product f(a) g(b) added at its index sum a + b
+    xi, inv = np.unique((f.xi[:, None] + g.xi[None, :]).ravel(), return_inverse=True)
+    ref = np.zeros(xi.size, np.complex128)
+    np.add.at(ref, inv, (f.c[:, None] * g.c[None, :]).ravel())
+    tol = 1e-12 * f.l1() * g.l1()
+    # the support is the Minkowski sum, less only cells whose sum is zero
+    # to rounding
+    on = np.isin(xi, fg.xi)
+    assert fg.nnz == np.count_nonzero(on)
+    assert np.all(on | (np.abs(ref) <= tol))
+    assert np.max(np.abs(ref[on] - fg.c), initial=0.0) <= tol
 
 
-@pytest.mark.parametrize("path", ["schoolbook", "fft_box", "chunked_merge"])
 @given(f=sparse_fields(), g=sparse_fields(), h=sparse_fields(),
        a=st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
        b=st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False))
-def test_convolve_is_commutative_and_bilinear(path, f, g, h, a, b):
-    with convolve_path(path):
-        fg = convolve(f, g, prune=0.0)
-        assert_close(fg, convolve(g, f, prune=0.0), f.l1() * g.l1())
-        lhs = convolve(f.scale(a) + h.scale(b), g, prune=0.0)
-        rhs = fg.scale(a) + convolve(h, g, prune=0.0).scale(b)
-        assert_close(lhs, rhs, (abs(a) * f.l1() + abs(b) * h.l1()) * g.l1())
+def test_convolve_is_commutative_and_bilinear(f, g, h, a, b):
+    fg = convolve(f, g, prune=0.0)
+    assert_close(fg, convolve(g, f, prune=0.0), f.l1() * g.l1())
+    lhs = convolve(f.scale(a) + h.scale(b), g, prune=0.0)
+    rhs = fg.scale(a) + convolve(h, g, prune=0.0).scale(b)
+    assert_close(lhs, rhs, (abs(a) * f.l1() + abs(b) * h.l1()) * g.l1())
 
 
-@pytest.mark.parametrize("path", ["schoolbook", "fft_box", "chunked_merge"])
 @given(f=sparse_fields(), g=sparse_fields())
-def test_convolve_keeps_hermitian_symmetry_and_minkowski_support(path, f, g):
+def test_convolve_keeps_hermitian_symmetry_and_minkowski_support(f, g):
     f, g = f + mirror(f), g + mirror(g)
     sums = {x + y for x in f.support() for y in g.support()}
-    with convolve_path(path):
-        fg = convolve(f, g)
-        assert fg.is_hermitian(1e-12)
-        assert fg.support() <= sums
-        if path != "fft_box":
-            # exact paths: no dust outside the Minkowski sum even unpruned
-            assert convolve(f, g, prune=0.0).support() <= sums
+    fg = convolve(f, g)
+    assert fg.is_hermitian(1e-12)
+    assert fg.support() <= sums
+    # the indicator row keeps even unpruned FFT dust off the complement
+    assert convolve(f, g, prune=0.0).support() <= sums
 
 
 def test_fold_order_agreement(lattice):
@@ -316,13 +290,23 @@ def test_field_immutable(lattice):
         f.c[0] = 2.0
 
 
-def test_convolve_huge_span_chunked_path(lattice):
-    # spans beyond the FFT box cap take the chunked merging path
+def test_convolve_huge_span_takes_the_two_scale_grid(monkeypatch, lattice):
+    # a 1-D box 2^25 wide exceeds the fold cap; the clusters, far apart,
+    # go into the rows of a grid with base B = far
     far = 1 << 23
     f = SpectralField.from_pairs(
         lattice, [(-far, 1.0), (0, 2.0), (far, 1.0)])
     g = SpectralField.from_pairs(lattice, [(-far, 0.5), (far, 0.5)])
+    layouts = []
+    fold_layout = lattice_module._fold_layout
+
+    def recorded(sups):
+        layouts.append(fold_layout(sups))
+        return layouts[-1]
+
+    monkeypatch.setattr(lattice_module, "_fold_layout", recorded)
     fg = convolve(f, g, prune=0.0)
+    assert [layout[0] for layout in layouts] == [far]
     assert fg.get(0) == pytest.approx(1.0)        # cross terms
     assert fg.get(2 * far) == pytest.approx(0.5)
     assert fg.get(-2 * far) == pytest.approx(0.5)
