@@ -1,5 +1,6 @@
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -181,6 +182,26 @@ def test_hermitian_preserved_by_convolve(seed):
     assert convolve(f, g).is_hermitian(1e-12)
 
 
+# Layouts of the fold engine, forced one at a time.  The ids keep the
+# names of the three convolution paths the engine replaced: the layout
+# that _fold_layout picks itself, the 1-D box, and the two-scale grid
+# (the box when no support has two clusters).
+FOLD_LAYOUTS = {
+    "schoolbook": None,
+    "fft_box": lambda sups: lattice_module._box_layout(sups),
+    "chunked_merge": lambda sups: (lattice_module._cluster_split(sups)
+                                   or lattice_module._box_layout(sups)),
+}
+
+
+@contextmanager
+def fold_layout(name):
+    with pytest.MonkeyPatch.context() as mp:
+        if FOLD_LAYOUTS[name] is not None:
+            mp.setattr(lattice_module, "_fold_layout", FOLD_LAYOUTS[name])
+        yield
+
+
 def mirror(f):
     return SpectralField(f.lattice, -f.xi[::-1], np.conj(f.c[::-1]))
 
@@ -208,26 +229,30 @@ def test_convolve_matches_double_sum(f, g):
     assert np.max(np.abs(ref[on] - fg.c), initial=0.0) <= tol
 
 
+@pytest.mark.parametrize("layout", list(FOLD_LAYOUTS))
 @given(f=sparse_fields(), g=sparse_fields(), h=sparse_fields(),
        a=st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
        b=st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False))
-def test_convolve_is_commutative_and_bilinear(f, g, h, a, b):
-    fg = convolve(f, g, prune=0.0)
-    assert_close(fg, convolve(g, f, prune=0.0), f.l1() * g.l1())
-    lhs = convolve(f.scale(a) + h.scale(b), g, prune=0.0)
-    rhs = fg.scale(a) + convolve(h, g, prune=0.0).scale(b)
-    assert_close(lhs, rhs, (abs(a) * f.l1() + abs(b) * h.l1()) * g.l1())
+def test_convolve_is_commutative_and_bilinear(layout, f, g, h, a, b):
+    with fold_layout(layout):
+        fg = convolve(f, g, prune=0.0)
+        assert_close(fg, convolve(g, f, prune=0.0), f.l1() * g.l1())
+        lhs = convolve(f.scale(a) + h.scale(b), g, prune=0.0)
+        rhs = fg.scale(a) + convolve(h, g, prune=0.0).scale(b)
+        assert_close(lhs, rhs, (abs(a) * f.l1() + abs(b) * h.l1()) * g.l1())
 
 
+@pytest.mark.parametrize("layout", list(FOLD_LAYOUTS))
 @given(f=sparse_fields(), g=sparse_fields())
-def test_convolve_keeps_hermitian_symmetry_and_minkowski_support(f, g):
+def test_convolve_keeps_hermitian_symmetry_and_minkowski_support(layout, f, g):
     f, g = f + mirror(f), g + mirror(g)
     sums = {x + y for x in f.support() for y in g.support()}
-    fg = convolve(f, g)
-    assert fg.is_hermitian(1e-12)
-    assert fg.support() <= sums
-    # the indicator row keeps even unpruned FFT dust off the complement
-    assert convolve(f, g, prune=0.0).support() <= sums
+    with fold_layout(layout):
+        fg = convolve(f, g)
+        assert fg.is_hermitian(1e-12)
+        assert fg.support() <= sums
+        # the indicator row keeps even unpruned FFT dust off the complement
+        assert convolve(f, g, prune=0.0).support() <= sums
 
 
 def test_fold_order_agreement(lattice):
