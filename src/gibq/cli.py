@@ -131,9 +131,9 @@ def _cmd_solve(args) -> int:
         ledger = acc.ledger
         ratios = [""] + [repr(r) for r in acc.ratios()]
     else:
-        from .series import fixed_point
+        from .series import FIXED_POINT_TOL, fixed_point
 
-        traj = fixed_point(data, params.k, params.T, 1e-9, degree)
+        traj = fixed_point(data, params.k, params.T, FIXED_POINT_TOL, degree)
         ledger = [traj.sup_l1()]
         ratios = [""]
     lines = ["j,sup_l1,ratio"]

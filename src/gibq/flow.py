@@ -1,7 +1,9 @@
 """Linear propagator and multilinear Duhamel operator on trajectories.
 
 Time-dependent spectral data is stored at Chebyshev-Gauss-Lobatto nodes on
-[0, T] and evaluated anywhere by barycentric interpolation.  Every time
+[0, T], as one (nodes x support) matrix over the frequencies nonzero at
+some node, and evaluated anywhere by barycentric interpolation, one
+matrix product for any number of times.  Every time
 dependence produced here is a finite combination of cos/sin with radian
 rates at most (k-1)j+1 (the symbol is bounded by 1), so degree-16 nodes
 already give spectral accuracy on the horizons this package uses.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +35,6 @@ from .lattice import (
     PRUNE_REL,
     FrequencyLattice,
     SpectralField,
-    _prune_arrays,
     fold_product,
     lambda_symbol,
 )
@@ -53,11 +54,6 @@ def stable_sinc(x):
         direct = np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
     out = np.where(np.abs(x) < _SINC_SWITCH, series, direct)
     return out if out.ndim else float(out)
-
-
-def sin_over_lambda(t: float, lam: np.ndarray) -> np.ndarray:
-    """sin(t*lam)/lam, equal to t at the removable singularity lam = 0."""
-    return t * stable_sinc(t * lam)
 
 
 def chebyshev_nodes(degree: int, horizon: float) -> np.ndarray:
@@ -151,77 +147,97 @@ class InitialPair:
 
 @dataclass
 class Trajectory:
-    """SpectralField-valued function of time sampled at Chebyshev nodes."""
+    """SpectralField-valued function of time sampled at Chebyshev nodes.
+
+    support lists, sorted, the frequencies that are nonzero at some node,
+    and values is the (nodes x support) complex matrix of node values; a
+    zero entry is a mode absent at that node.  Node i as a SpectralField
+    is field(i).  Norms of node values sum each row's nonzero entries in
+    increasing-xi order, as SpectralField does, so they round alike.
+    """
 
     lattice: FrequencyLattice
     horizon: float
     nodes: np.ndarray
-    fields: list
+    support: np.ndarray
+    values: np.ndarray
 
-    _support: np.ndarray = field(default=None, repr=False, compare=False)
-    _matrix: np.ndarray = field(default=None, repr=False, compare=False)
+    @classmethod
+    def from_rows(cls, lattice, horizon, nodes, support, values) -> "Trajectory":
+        """Trajectory of a (nodes x support) matrix, without the columns
+        that are zero at every node; the matrix is not copied when every
+        column is kept."""
+        live = np.any(values != 0, axis=0)
+        if not live.all():
+            support, values = support[live], values.compress(live, axis=1)
+        return cls(lattice, horizon, nodes, support, values)
+
+    @classmethod
+    def from_fields(cls, lattice, horizon, nodes, fields) -> "Trajectory":
+        """Trajectory of one SpectralField per node."""
+        support = np.unique(np.concatenate([f.xi for f in fields]))
+        return cls(lattice, horizon, nodes, support,
+                   np.stack([_scatter(support, f.xi, f.c) for f in fields]))
 
     @property
     def degree(self) -> int:
         return self.nodes.size - 1
 
-    def _ensure_matrix(self):
-        if self._matrix is not None:
-            return
-        if all(f.nnz == 0 for f in self.fields):
-            support = np.empty(0, np.int64)
-        else:
-            support = np.unique(np.concatenate([f.xi for f in self.fields if f.nnz]))
-        mat = np.zeros((self.nodes.size, support.size), dtype=np.complex128)
-        for i, f in enumerate(self.fields):
-            if f.nnz:
-                mat[i, np.searchsorted(support, f.xi)] = f.c
-        self._support = support
-        self._matrix = mat
+    def field(self, i: int) -> SpectralField:
+        """The value at node i."""
+        row = self.values[i]
+        keep = row != 0
+        return SpectralField(self.lattice, self.support[keep], row[keep])
+
+    @property
+    def fields(self) -> list:
+        """One SpectralField per node, built on each access."""
+        return [self.field(i) for i in range(self.nodes.size)]
 
     def support_and_matrix(self):
-        self._ensure_matrix()
-        return self._support, self._matrix
+        return self.support, self.values
 
     def at(self, t: float) -> SpectralField:
         """Barycentric evaluation at any t in [0, horizon]."""
-        support, mat = self.support_and_matrix()
-        coeffs = barycentric_coeffs(self.nodes, t)
-        c = coeffs @ mat
+        c = barycentric_coeffs(self.nodes, t) @ self.values
         keep = c != 0
-        return SpectralField(self.lattice, support[keep], c[keep])
+        return SpectralField(self.lattice, self.support[keep], c[keep])
 
     def rows_at(self, times: np.ndarray):
         """Support plus a (len(times) x nnz) matrix of interpolated values."""
-        support, mat = self.support_and_matrix()
-        return support, barycentric_coeffs(self.nodes, times) @ mat
+        return self.support, barycentric_coeffs(self.nodes, times) @ self.values
 
     def sup_l1(self) -> float:
-        return max((f.l1() for f in self.fields), default=0.0)
+        return self._sup_row_l1(self.values)
 
     def sup_distance(self, other: "Trajectory") -> float:
-        """Sup over nodes of the l1 distance between node fields."""
-        if self.nodes.size != other.nodes.size:
-            raise LatticeMismatchError("trajectory node grids differ")
-        return max(
-            (a - b).l1() for a, b in zip(self.fields, other.fields)
-        )
+        """Sup over nodes of the l1 distance between node values."""
+        _, a, b = self._on_union(other)
+        return self._sup_row_l1(a - b)
 
-    def __add__(self, other: "Trajectory") -> "Trajectory":
+    def _sup_row_l1(self, values) -> float:
+        mags = np.abs(values)
+        return max(float(np.sum(m[m != 0])) for m in mags) * self.lattice.weight
+
+    def _on_union(self, other: "Trajectory"):
+        """The union support and both value matrices on it."""
         if self.lattice != other.lattice:
             raise LatticeMismatchError("trajectory lattices differ")
+        if self.nodes.size != other.nodes.size:
+            raise LatticeMismatchError("trajectory node grids differ")
+        support = np.union1d(self.support, other.support)
+        return (support, _scatter(support, self.support, self.values),
+                _scatter(support, other.support, other.values))
+
+    def __add__(self, other: "Trajectory") -> "Trajectory":
         if abs(self.horizon - other.horizon) > 1e-15 * max(self.horizon, 1e-300):
             raise LatticeMismatchError("trajectory horizons differ")
-        return Trajectory(
-            self.lattice,
-            self.horizon,
-            self.nodes,
-            [a + b for a, b in zip(self.fields, other.fields)],
-        )
+        support, a, b = self._on_union(other)
+        return Trajectory.from_rows(self.lattice, self.horizon, self.nodes, support, a + b)
 
     def scale(self, a) -> "Trajectory":
-        return Trajectory(self.lattice, self.horizon, self.nodes,
-                          [f.scale(a) for f in self.fields])
+        return Trajectory.from_rows(self.lattice, self.horizon, self.nodes,
+                                    self.support, self.values * a)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return all(f.is_hermitian(tol) for f in self.fields)
@@ -239,15 +255,15 @@ class Trajectory:
         the field documents."""
         doc = json.loads(text)
         fields = [SpectralField.from_doc(f) for f in doc["fields"]]
-        return cls(fields[0].lattice, doc["horizon"],
-                   np.array(doc["nodes"], dtype=float), fields)
+        return cls.from_fields(fields[0].lattice, doc["horizon"],
+                               np.array(doc["nodes"], dtype=float), fields)
 
     @classmethod
     def zero(cls, lattice: FrequencyLattice, horizon: float,
              degree: int = DEFAULT_DEGREE) -> "Trajectory":
         nodes = chebyshev_nodes(degree, horizon)
-        z = SpectralField.zero(lattice)
-        return cls(lattice, horizon, nodes, [z] * nodes.size)
+        return cls(lattice, horizon, nodes, np.empty(0, np.int64),
+                   np.zeros((nodes.size, 0), dtype=np.complex128))
 
 
 def linear_flow(pair: InitialPair, horizon: float,
@@ -257,22 +273,22 @@ def linear_flow(pair: InitialPair, horizon: float,
         raise ValueError("horizon must be positive")
     lattice = pair.lattice
     nodes = chebyshev_nodes(degree, horizon)
-    if pair.u0.nnz == 0 and pair.u1.nnz == 0:
-        return Trajectory.zero(lattice, horizon, degree)
-    support = np.unique(np.concatenate([pair.u0.xi, pair.u1.xi]))
+    support = np.union1d(pair.u0.xi, pair.u1.xi)
     lam = lambda_symbol(support, lattice)
-    c0 = np.zeros(support.size, dtype=np.complex128)
-    c1 = np.zeros(support.size, dtype=np.complex128)
-    if pair.u0.nnz:
-        c0[np.searchsorted(support, pair.u0.xi)] = pair.u0.c
-    if pair.u1.nnz:
-        c1[np.searchsorted(support, pair.u1.xi)] = pair.u1.c
-    fields = []
-    for t in nodes:
-        c = np.cos(t * lam) * c0 + sin_over_lambda(t, lam) * c1
-        keep = c != 0
-        fields.append(SpectralField(lattice, support[keep], c[keep]))
-    return Trajectory(lattice, horizon, nodes, fields)
+    c0, c1 = (_scatter(support, f.xi, f.c) for f in (pair.u0, pair.u1))
+    t = nodes[:, None]
+    # t * sinc(t*lam) is sin(t*lam)/lam, and t at lam = 0
+    values = np.cos(t * lam) * c0 + t * stable_sinc(t * lam) * c1
+    return Trajectory.from_rows(lattice, horizon, nodes, support, values)
+
+
+def _scatter(support, xi, values):
+    """values (one entry per xi in the last axis) on a support holding xi."""
+    if xi.size == support.size:
+        return values
+    out = np.zeros(values.shape[:-1] + support.shape, dtype=np.complex128)
+    out[..., np.searchsorted(support, xi)] = values
+    return out
 
 
 def _check_args(args):
@@ -291,8 +307,8 @@ def duhamel(args: list, t_eval: float, quad_degree: int = DEFAULT_DEGREE,
     """Multilinear Duhamel integral of k trajectories at time t_eval.
 
     The k-fold product is formed at the quad_degree + 1 Clenshaw-Curtis
-    nodes on [0, t_eval] (see _product_at), then integrated against the
-    sine kernel (see _integrate).
+    nodes on [0, t_eval] by lattice.fold_product, then integrated against
+    the sine kernel (see _integrate).
     """
     _check_args(args)
     lattice = args[0].lattice
@@ -301,8 +317,11 @@ def duhamel(args: list, t_eval: float, quad_degree: int = DEFAULT_DEGREE,
     if t_eval == 0.0:
         return SpectralField.zero(lattice)
     taus = chebyshev_nodes(quad_degree, t_eval)
-    xi, values = _product_at(args, taus, taus.size, prune)
-    return _integrate(lattice, len(args), xi, values, t_eval, quad_degree, prune)
+    xi, values = fold_product([a.rows_at(taus) for a in args], taus.size, prune)
+    out = np.zeros(xi.size, dtype=np.complex128)
+    _integrate(out, lattice, len(args), xi, values, t_eval, quad_degree, prune)
+    keep = out != 0
+    return SpectralField(lattice, xi[keep], out[keep])
 
 
 def duhamel_trajectory(args: list, quad_degree: int = DEFAULT_DEGREE,
@@ -322,14 +341,14 @@ def duhamel_trajectory(args: list, quad_degree: int = DEFAULT_DEGREE,
     # half as many times per transform as a single-time fold takes, so that
     # the product on the whole grid and one batch's transforms together
     # stay near the memory of one single-time fold
-    xi, values = _product_at(args, chebyshev_nodes(degree, base.horizon),
-                             max(1, (quad_degree + 1) // 2), prune)
+    grid = chebyshev_nodes(degree, base.horizon)
+    xi, values = fold_product([a.rows_at(grid) for a in args],
+                              max(1, (quad_degree + 1) // 2), prune)
     interp = _product_interpolation(base.degree, degree, quad_degree)
-    fields = [
-        _integrate(base.lattice, len(args), xi, mat @ values, float(t), quad_degree, prune)
-        for t, mat in zip(base.nodes, interp)
-    ]
-    return Trajectory(base.lattice, base.horizon, base.nodes, fields)
+    out = np.zeros((base.nodes.size, xi.size), dtype=np.complex128)
+    for row, t, mat in zip(out, base.nodes, interp):
+        _integrate(row, base.lattice, len(args), xi, mat @ values, float(t), quad_degree, prune)
+    return Trajectory.from_rows(base.lattice, base.horizon, base.nodes, xi, out)
 
 
 @lru_cache(maxsize=None)
@@ -347,26 +366,19 @@ def _product_interpolation(node_degree: int, degree: int,
     return mats
 
 
-def _integrate(lattice, k, xi, values, t_eval, quad_degree, prune) -> SpectralField:
-    """Clenshaw-Curtis sum over [0, t_eval] of sin((t_eval-tau) lam) lam
-    times the product values at the quadrature nodes, one row per node."""
+def _integrate(out, lattice, k, xi, values, t_eval, quad_degree, prune):
+    """Write into out the Clenshaw-Curtis sum over [0, t_eval] of
+    sin((t_eval-tau) lam) lam times the product values at the quadrature
+    nodes (one row per node), with the entries below prune times the
+    largest set to zero."""
     if xi.size == 0 or t_eval == 0.0:
-        return SpectralField.zero(lattice)
+        return
     taus = chebyshev_nodes(quad_degree, t_eval)
     weights = clenshaw_curtis_weights(quad_degree) * (t_eval / 2.0)
     lam = lambda_symbol(xi, lattice)
     kernel = np.sin(np.outer(t_eval - taus, lam)) * lam[None, :]
-    out = np.einsum("q,qm,qm->m", weights, kernel, values)
+    out[:] = np.einsum("q,qm,qm->m", weights, kernel, values)
     if lattice.weight != 1.0:
-        out = out * lattice.weight ** (k - 1)
-    xi, out = _prune_arrays(xi, out, prune)
-    keep = out != 0
-    return SpectralField(lattice, xi[keep], out[keep])
-
-
-def _product_at(args, times, batch, prune):
-    """The k-fold product of the arguments at the given times: the
-    frequencies where it is nonzero at some time and a (times x xi)
-    matrix, folded at most batch times per transform (see
-    lattice.fold_product)."""
-    return fold_product([traj.rows_at(times) for traj in args], batch, prune)
+        out *= lattice.weight ** (k - 1)
+    mags = np.abs(out)
+    out[mags < prune * np.max(mags)] = 0

@@ -39,7 +39,7 @@ from .flow import InitialPair, duhamel, linear_flow
 from .lattice import SpectralField, bracket
 from .norms import NormSpec, norm
 from .oracle import closure_from_depth, rk4_solve, xi1_closed_form
-from .series import fixed_point, partial_sum
+from .series import FIXED_POINT_TOL, fixed_point, partial_sum
 
 SCHEMA_VERSION = 1
 
@@ -277,8 +277,7 @@ def run_inflation(params: InflationParams,
                   method: str = "rk4",
                   rk4_depth: int = 18,
                   rk4_steps: int = 400,
-                  rk4_tail_tol: float = 1e-10,
-                  fp_tol: float = 1e-9) -> InflationReport:
+                  rk4_tail_tol: float = 1e-10) -> InflationReport:
     """One full experiment at fixed parameters.
 
     Builds the perturbed data, computes series terms up to max_gen,
@@ -320,7 +319,7 @@ def run_inflation(params: InflationParams,
     # series terms of the full data
     acc = partial_sum(data, params.k, max_gen, params.T, degree)
     final = acc.partial.nodes.size - 1
-    term_fields = [t.trajectory.fields[final] for t in acc.terms]
+    term_fields = [t.trajectory.field(final) for t in acc.terms]
     xi_rows = []
     for j, f in enumerate(term_fields):
         row = {"j": j, "sobolev": norm(f, hs), "fl1_sup": acc.ledger[j]}
@@ -394,10 +393,10 @@ def run_inflation(params: InflationParams,
                 "use method='rk4' for the solution norm",
                 ratios,
             )
-        solution_field = acc.partial.fields[final]
+        solution_field = acc.partial.field(final)
     elif method == "fixed-point":
-        traj = fixed_point(data, params.k, params.T, fp_tol, degree)
-        solution_field = traj.fields[-1]
+        traj = fixed_point(data, params.k, params.T, FIXED_POINT_TOL, degree)
+        solution_field = traj.field(-1)
     elif method == "rk4":
         closure = closure_from_depth(data, params.k, depth=rk4_depth)
         traj, diag = rk4_solve(data, params.T, params.T / rk4_steps,
@@ -409,7 +408,7 @@ def run_inflation(params: InflationParams,
                 "max_tail_fraction": diag.max_tail_fraction,
             }
         else:
-            solution_field = traj.fields[-1]
+            solution_field = traj.field(-1)
     elif method == "none":
         pass
     else:

@@ -33,9 +33,9 @@ from .errors import CapacityError, CutoffOverflowError, LatticeMismatchError
 # Relative prune threshold applied after convolutions; see convolve().
 PRUNE_REL = 1e-14
 
-# Most cells per time a fold grid may hold; a product whose smallest grid
-# is larger (e.g. cubes around astronomically large frequencies that no
-# two-scale split packs) raises CapacityError.
+# Memory guard of the fold engine: the most padded cells of one factor's
+# transforms at once, and of the product at all times; a larger product
+# (e.g. cubes around huge frequencies that no split packs) raises CapacityError.
 _FOLD_CAP = 1 << 23
 
 
@@ -326,7 +326,8 @@ def fold_product(rows, batch: int, prune: float):
     cells xi = m*B + r (see _fold_layout), at most batch times per
     transform: a single row (the 1-D bounding box) for supports without
     wide gaps, a dense (m, r) grid for supports made of clusters spaced B
-    apart.  Raises CapacityError when no grid fits under _FOLD_CAP cells.
+    apart.  Raises CapacityError when no grid fits under _FOLD_CAP padded
+    cells, or when the product at all times holds more than _FOLD_CAP.
     """
     if any(sup.size == 0 for sup, _ in rows):
         return np.empty(0, np.int64), np.empty((rows[0][1].shape[0], 0), np.complex128)
@@ -337,7 +338,8 @@ def fold_product(rows, batch: int, prune: float):
 
 
 def _fold_layout(sups):
-    """Grid for the product fold, or None when none fits under _FOLD_CAP.
+    """Grid for the product fold, or None when no padded transform fits
+    under _FOLD_CAP cells.
 
     Returns (B, parts, (rows, cols)) with one (m, col, r0) per support:
     the support is xi = m*B + r0 + col, with row m and column col counted
@@ -348,15 +350,15 @@ def _fold_layout(sups):
     the 1-D box is taken without looking for clusters.
     """
     box = _box_layout(sups)
-    box_cells = box[2][1]
-    fits = box_cells <= _FOLD_CAP
+    box_padded = _next_pow2(box[2][1])
+    fits = box_padded <= _FOLD_CAP
     if all(2 * sup.size > int(sup[-1]) - int(sup[0]) for sup in sups):
         return box if fits else None
     split = _cluster_split(sups)
     if split is not None:
         n_rows, n_cols = split[2]
         padded = _next_pow2(n_rows) * _next_pow2(n_cols)
-        if n_rows * n_cols <= _FOLD_CAP and (not fits or padded < _next_pow2(box_cells)):
+        if padded <= _FOLD_CAP and (not fits or padded < box_padded):
             return split
     return box if fits else None
 
@@ -415,14 +417,18 @@ def _product_grid(rows, layout, batch, prune):
     product at every time.  Where the r-span of the product reaches B,
     cells (m, r) and (m+1, r-B) are the same frequency and are added
     together (the carry).  The times are split into equal batches of at
-    most batch times, one transform each.  Each time's product is pruned
-    at prune times its largest coefficient, and only the cells nonzero at
-    some time are returned.
+    most batch times, one transform each, and fewer when one factor's
+    transforms would hold more than _FOLD_CAP padded cells.  Each time's
+    product is pruned at prune times its largest coefficient, and only
+    the cells nonzero at some time are returned.
     """
     base, parts, (n_rows, n_cols) = layout
     n_times = rows[0][1].shape[0]
     width = base if base and n_cols > base else n_cols
     folds = -(-n_cols // width)
+    if n_times * (n_rows + folds - 1) * width > _FOLD_CAP:
+        raise CapacityError(f"the product at {n_times} times holds more than {_FOLD_CAP} cells")
+    batch = max(1, min(batch, _FOLD_CAP // (_next_pow2(n_rows) * _next_pow2(n_cols))))
     product = np.zeros((n_times, n_rows + folds - 1, width), dtype=np.complex128)
     for times in np.array_split(np.arange(n_times), -(-n_times // batch)):
         _fold_batch(product[times[0]:times[-1] + 1], rows, layout, times[0], width, prune)

@@ -160,13 +160,12 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
         return vv, -lam2 * forcing
 
     nodes = chebyshev_nodes(node_degree, horizon)
-    fields = [_gather(lattice, idx, u)]
+    # one row per node; nodes at and after a blow-up stay zero
+    values = np.zeros((nodes.size, idx.size), dtype=np.complex128)
+    values[0] = u
     state = (u[K:], v[K:])
     t = 0.0
-    for target in nodes[1:]:
-        if diag.blowup_time is not None:
-            fields.append(SpectralField.zero(lattice))
-            continue
+    for i, target in enumerate(nodes[1:], 1):
         seg = float(target) - t
         steps = max(1, math.ceil(seg / dt))
         h = seg / steps
@@ -185,11 +184,9 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
                     break
         t = float(target)
         if diag.blowup_time is not None:
-            fields.append(SpectralField.zero(lattice))
-            continue
-        u, v = _mirror(state[0]), _mirror(state[1])
-        diag.l2_history.append((t, _scaled_l2(u), _scaled_l2(v)))
-        fields.append(_gather(lattice, idx, u))
+            break
+        values[i] = _mirror(state[0])
+        diag.l2_history.append((t, _scaled_l2(values[i]), _scaled_l2(_mirror(state[1]))))
         if diag.max_tail_fraction > tail_tol:
             if _retry:
                 traj, inner = rk4_solve(
@@ -202,8 +199,7 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
                 f"truncation tail {diag.max_tail_fraction:.3g} above "
                 f"{tail_tol:g} even after enlarging the closure"
             )
-    traj = Trajectory(lattice, horizon, nodes, fields)
-    return traj, diag
+    return Trajectory.from_rows(lattice, horizon, nodes, idx, values), diag
 
 
 def _mirror(half: np.ndarray) -> np.ndarray:
@@ -218,11 +214,6 @@ def _scaled_l2(x: np.ndarray) -> float:
     if scale == 0.0 or not math.isfinite(scale):
         return scale
     return scale * float(np.linalg.norm(x / scale))
-
-
-def _gather(lattice, idx, dense) -> SpectralField:
-    keep = np.abs(dense) > 0
-    return SpectralField(lattice, idx[keep].astype(np.int64), dense[keep])
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import DivergenceError, SeriesDivergenceError
+from .errors import DivergenceError
 from .flow import (
     DEFAULT_DEGREE,
     InitialPair,
@@ -28,6 +28,9 @@ from .flow import (
 from .trees import compositions, is_terminal
 
 FIXED_POINT_MAX_ITER = 64
+
+# Sup-l1 tolerance of the fixed-point solves of run_inflation and gibq solve.
+FIXED_POINT_TOL = 1e-9
 
 # Distances at most this multiple of eps * sup l1 are rounding noise: the
 # iteration has converged even if the absolute tol lies below them.
@@ -46,10 +49,6 @@ class SeriesAccumulator:
     terms: list            # SeriesTerm for j = 0..J
     partial: Trajectory    # running sum of the term trajectories
     ledger: list = field(default_factory=list)  # per-j sup-in-time l1 norms
-
-    @property
-    def max_generation(self) -> int:
-        return len(self.terms) - 1
 
     def ratios(self) -> list:
         """Successive ledger ratios; the contraction diagnostic."""
@@ -113,17 +112,6 @@ def partial_sum(pair: InitialPair, k: int, max_gen: int, horizon: float,
         total = total + traj
     ledger = [traj.sup_l1() for traj in trajectories]
     return SeriesAccumulator(terms=terms, partial=total, ledger=ledger)
-
-
-def require_convergent(acc: SeriesAccumulator):
-    """Raise SeriesDivergenceError when the ledger is not decaying."""
-    ratios = acc.ratios()
-    if any(r >= 1.0 for r in ratios):
-        raise SeriesDivergenceError(
-            "series ledger is non-decaying; the horizon violates the "
-            f"contraction condition (ratios {['%.3g' % r for r in ratios]})",
-            ratios,
-        )
 
 
 def tail_residual(acc: SeriesAccumulator, pair: InitialPair, k: int,

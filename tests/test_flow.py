@@ -1,9 +1,11 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gibq import flow
+from gibq import flow, oracle
 from gibq import lattice as lattice_module
 from gibq.construction import make_bump, schedule_from_N
 from gibq.errors import CapacityError, CutoffOverflowError, LatticeMismatchError
@@ -24,7 +26,7 @@ from conftest import hermitian_field
 
 def constant_trajectory(lattice, field, horizon, degree=16):
     nodes = chebyshev_nodes(degree, horizon)
-    return Trajectory(lattice, horizon, nodes, [field] * nodes.size)
+    return Trajectory.from_fields(lattice, horizon, nodes, [field] * nodes.size)
 
 
 # ----------------------------------------------------------------------
@@ -223,8 +225,6 @@ def test_degree_self_convergence(lattice):
 def test_trajectory_json(lattice):
     pair = InitialPair(hermitian_field(lattice, 41, 4), SpectralField.zero(lattice))
     traj = linear_flow(pair, 0.5, 6)
-    import json
-
     doc = json.loads(traj.to_json())
     assert doc["horizon"] == 0.5
     assert len(doc["nodes"]) == 7
@@ -369,6 +369,42 @@ def test_fold_grid_above_the_cap_raises(monkeypatch):
         duhamel([traj, traj], 0.7)
 
 
+def test_fold_cap_bounds_transforms_and_product(monkeypatch):
+    # three mode pairs over |xi| <= 2050 on the 1-D box: the product of two
+    # has 8201 cells per time, padded to 16384, at 17 quadrature times
+    lattice = FrequencyLattice(period=1.0, cutoff=1 << 20)
+    field = SpectralField(lattice, np.array([-2050, -7, 0, 7, 2050]),
+                          np.array([0.5 - 0.5j, 1 + 2j, 3.0, 1 - 2j, 0.5 + 0.5j]))
+    traj = linear_flow(InitialPair(field, field.scale(0.5)), 0.7, 12)
+    monkeypatch.setattr(*FOLDS["box"])
+    reference = duhamel([traj, traj], 0.7)
+    per_factor = []
+    for name in ("fft", "fft2"):
+        transform = getattr(np.fft, name)
+
+        def spy(a, *rest, _transform=transform, **kw):
+            per_factor.append(math.prod(a.shape[1:]))
+            return _transform(a, *rest, **kw)
+
+        monkeypatch.setattr(np.fft, name, spy)
+    # 17 x 16384 padded cells per factor in one transform would exceed it
+    monkeypatch.setattr(lattice_module, "_FOLD_CAP", 1 << 18)
+    capped = duhamel([traj, traj], 0.7)
+    assert len(per_factor) == 2 and max(per_factor) <= 1 << 18
+    assert np.array_equal(capped.xi, reference.xi)
+    assert np.allclose(capped.c, reference.c, rtol=1e-14, atol=0.0)
+    # 17 x 8201 product cells exceed it: raised before the product exists
+    monkeypatch.setattr(lattice_module, "_FOLD_CAP", 1 << 17)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            duhamel([traj, traj], 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 * 8201 * 16 // 4
+
+
 def assert_trajectory_matches_single_times(monkeypatch, args, folds):
     for name in folds:
         monkeypatch.setattr(*FOLDS[name])
@@ -417,8 +453,7 @@ def test_trajectory_matches_single_times_on_line_surrogate(monkeypatch):
         assert_trajectory_matches_single_times(monkeypatch, args, FOLDS)
     out = duhamel_trajectory([traj, traj])
     torus = FrequencyLattice(period=8.0, cutoff=1 << 20)
-    same = Trajectory(torus, 0.6, traj.nodes,
-                      [SpectralField(torus, f.xi, f.c) for f in traj.fields])
+    same = Trajectory(torus, 0.6, traj.nodes, traj.support, traj.values)
     # same symbol, so the outputs differ by the weight alone
     plain = duhamel_trajectory([same, same])
     for f, g in zip(out.fields, plain.fields):
@@ -482,3 +517,86 @@ def test_trajectory_json_roundtrip_is_exact(lattice):
             assert g.xi.tobytes() == f.xi.tobytes()
             assert g.c.tobytes() == f.c.tobytes()
         assert back.to_json() == traj.to_json()
+
+
+# ----------------------------------------------------------------------
+# the (support, matrix) trajectory against its per-node fields
+# ----------------------------------------------------------------------
+
+def field_bytes(f):
+    return f.xi.tobytes(), f.c.tobytes()
+
+
+def assert_matches_node_fields(a, b):
+    """Every operation of a trajectory gives, byte for byte, what the same
+    operation gives on its node fields; the matrix of interpolation is the
+    one from_fields builds from those fields."""
+    fa, fb = a.fields, b.fields
+    assert [field_bytes(f) for f in (a + b).fields] == [
+        field_bytes(f + g) for f, g in zip(fa, fb)]
+    for s in (-0.5, 1.75j):
+        assert [field_bytes(f) for f in a.scale(s).fields] == [
+            field_bytes(f.scale(s)) for f in fa]
+    assert repr(a.sup_l1()) == repr(max(f.l1() for f in fa))
+    assert repr(a.sup_distance(b)) == repr(max((f - g).l1() for f, g in zip(fa, fb)))
+    for tol in (0.0, 1e-12):
+        assert a.is_hermitian(tol) == all(f.is_hermitian(tol) for f in fa)
+    from_fields = Trajectory.from_fields(a.lattice, a.horizon, a.nodes, fa)
+    for t in (0.0, 0.37 * a.horizon, a.nodes[3], a.horizon):
+        assert field_bytes(a.at(t)) == field_bytes(from_fields.at(t))
+    assert a.to_json() == json.dumps({
+        "horizon": a.horizon,
+        "nodes": [float(t) for t in a.nodes],
+        "fields": [json.loads(f.to_json()) for f in fa],
+    })
+    zero = a + a.scale(-1)
+    assert zero.support.size == 0 and zero.values.shape == (a.nodes.size, 0)
+
+
+def test_trajectory_matches_node_fields_on_flows_and_duhamel(lattice):
+    pair = InitialPair(hermitian_field(lattice, 101, 10), hermitian_field(lattice, 102, 6))
+    lin = linear_flow(pair, 0.8, 12)
+    other = linear_flow(InitialPair(hermitian_field(lattice, 103, 14),
+                                    SpectralField.zero(lattice)), 0.8, 12)
+    term = duhamel_trajectory([lin, lin])
+    # supports differ, so + and sup_distance work on their union
+    assert not np.array_equal(lin.support, other.support)
+    assert_matches_node_fields(lin, other)
+    assert_matches_node_fields(term, lin)
+    assert_matches_node_fields(duhamel_trajectory([term, lin]), term)
+
+
+def test_trajectory_matches_node_fields_with_scattered_node_supports(lattice):
+    # each node holds its own 40 of the modes |xi| <= 60, of magnitudes
+    # spread over 17 decades: a sum that also ran over the zero entries of
+    # a row would group the terms differently and round differently
+    rng = np.random.default_rng(104)
+    nodes = chebyshev_nodes(8, 0.8)
+
+    def scattered():
+        fields = []
+        for _ in nodes:
+            xi = np.sort(rng.choice(np.arange(-60, 61), 40, replace=False))
+            c = np.exp(rng.uniform(-20, 20, 40) + 1j * rng.uniform(0, 2 * np.pi, 40))
+            fields.append(SpectralField(lattice, xi, c))
+        return Trajectory.from_fields(lattice, 0.8, nodes, fields)
+
+    assert_matches_node_fields(scattered(), scattered())
+
+
+def test_trajectory_matches_node_fields_on_line_surrogate():
+    line = FrequencyLattice(period=8.0, cutoff=1 << 20, kind="line_approx")
+    lin = linear_flow(InitialPair(hermitian_field(line, 111, 12),
+                                  hermitian_field(line, 112, 12)), 0.6, 12)
+    assert_matches_node_fields(duhamel_trajectory([lin, lin]), lin)
+
+
+def test_trajectory_matches_node_fields_on_rk4_blowup(lattice):
+    big = InitialPair(SpectralField.from_pairs(lattice, [(-1, 1000.0), (1, 1000.0)]),
+                      SpectralField.zero(lattice))
+    traj, diag = oracle.rk4_solve(big, 1.0, 1e-3, 64, k=2, tail_tol=math.inf)
+    assert diag.blowup_time is not None
+    # rows before the blow-up hold modes, the ones after it are zero
+    recorded = [f.nnz > 0 for f in traj.fields]
+    assert recorded[:2] == [True, True] and not recorded[-1]
+    assert_matches_node_fields(traj, linear_flow(big, 1.0))
