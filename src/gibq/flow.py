@@ -32,14 +32,18 @@ import numpy as np
 
 from .errors import LatticeMismatchError
 from .lattice import (
+    JSON_VERSION,
     PRUNE_REL,
     FrequencyLattice,
     SpectralField,
+    check_json_doc,
     fold_product,
     lambda_symbol,
 )
 
 DEFAULT_DEGREE = 16
+
+_DOC_KEYS = frozenset({"version", "horizon", "nodes", "fields"})
 
 # Below this |t*lam| the sine quotient switches to its Taylor series.
 _SINC_SWITCH = 1e-4
@@ -244,6 +248,7 @@ class Trajectory:
 
     def to_json(self) -> str:
         return json.dumps({
+            "version": JSON_VERSION,
             "horizon": self.horizon,
             "nodes": [float(t) for t in self.nodes],
             "fields": [json.loads(f.to_json()) for f in self.fields],
@@ -252,8 +257,10 @@ class Trajectory:
     @classmethod
     def from_json(cls, text: str) -> "Trajectory":
         """Inverse of to_json, exact to the bit; the lattice is read from
-        the field documents."""
+        the field documents.  Raises ValueError for an unknown version or
+        key."""
         doc = json.loads(text)
+        check_json_doc(doc, _DOC_KEYS, "Trajectory")
         fields = [SpectralField.from_doc(f) for f in doc["fields"]]
         return cls.from_fields(fields[0].lattice, doc["horizon"],
                                np.array(doc["nodes"], dtype=float), fields)

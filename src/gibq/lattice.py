@@ -22,6 +22,7 @@ accordingly.  Exactness claims are only made for the torus.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -37,6 +38,33 @@ PRUNE_REL = 1e-14
 # transforms at once, and of the product at all times; a larger product
 # (e.g. cubes around huge frequencies that no split packs) raises CapacityError.
 _FOLD_CAP = 1 << 23
+
+# Version of the JSON documents of SpectralField and flow.Trajectory.
+JSON_VERSION = 1
+_DOC_KEYS = frozenset({"version", "period", "kind", "cutoff", "entries"})
+_ENTRY_KEYS = frozenset({"xi", "re", "im"})
+
+
+def _smooth_lengths(limit: int) -> list:
+    """Every 2^a 3^b 5^c up to limit, sorted."""
+    lengths = [1]
+    for p in (2, 3, 5):
+        for n in lengths:  # the list grows as it is read: n*p, n*p^2, ...
+            if n * p <= limit:
+                lengths.append(n * p)
+    return sorted(lengths)
+
+
+_FFT_LENGTHS = _smooth_lengths(1 << 31)
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, the transform length for n cells of a
+    convolution: at most 15/13 of n, where the next power of two can be
+    twice n.  Such lengths cost about as much per point as powers of two,
+    while a length with a larger prime factor can cost many times more.
+    Defined for n <= 2^31, far beyond any transform that fits in memory."""
+    return _FFT_LENGTHS[bisect.bisect_left(_FFT_LENGTHS, n)]
 
 
 @dataclass(frozen=True)
@@ -230,8 +258,9 @@ class SpectralField:
             for x, v in zip(self.xi, self.c)
         ]
         lat = self.lattice
-        return json.dumps({"period": lat.period, "kind": lat.kind,
-                           "cutoff": lat.cutoff, "entries": entries})
+        return json.dumps({"version": JSON_VERSION, "period": lat.period,
+                           "kind": lat.kind, "cutoff": lat.cutoff,
+                           "entries": entries})
 
     @classmethod
     def from_json(cls, text: str, cutoff: int = 1 << 40, kind: str = "torus") -> "SpectralField":
@@ -243,7 +272,11 @@ class SpectralField:
     def from_doc(cls, doc: dict, cutoff: int = 1 << 40, kind: str = "torus") -> "SpectralField":
         """Field of a parsed to_json document.  Entries in strictly
         increasing order, as to_json writes them, are read back to the bit
-        (signed zeros included); any other order is merged by from_pairs."""
+        (signed zeros included); any other order is merged by from_pairs.
+        Raises ValueError for an unknown version or key."""
+        check_json_doc(doc, _DOC_KEYS, "SpectralField")
+        if any(not _ENTRY_KEYS.issuperset(e) for e in doc["entries"]):
+            raise ValueError("unknown keys in a SpectralField entry")
         lattice = FrequencyLattice(period=doc["period"],
                                    cutoff=doc.get("cutoff", cutoff),
                                    kind=doc.get("kind", kind))
@@ -252,6 +285,19 @@ class SpectralField:
         if np.all(np.diff(xi) > 0):
             return cls(lattice, xi, np.array([v for _, v in pairs], dtype=np.complex128))
         return cls.from_pairs(lattice, pairs)
+
+
+def check_json_doc(doc: dict, keys, what: str):
+    """Raise ValueError when doc has a key outside keys or a version other
+    than JSON_VERSION; a document without a version is read as version 1,
+    the format written before documents were versioned."""
+    unknown = set(doc) - keys
+    if unknown:
+        raise ValueError(f"unknown keys in the {what} document: {sorted(unknown)}")
+    version = doc.get("version", 1)
+    if version != JSON_VERSION:
+        raise ValueError(f"{what} document version {version!r}, "
+                         f"this version reads {JSON_VERSION}")
 
 
 def _check_same_lattice(f: SpectralField, g: SpectralField):
@@ -350,17 +396,23 @@ def _fold_layout(sups):
     the 1-D box is taken without looking for clusters.
     """
     box = _box_layout(sups)
-    box_padded = _next_pow2(box[2][1])
+    box_padded = _padded(box[2][1])
     fits = box_padded <= _FOLD_CAP
     if all(2 * sup.size > int(sup[-1]) - int(sup[0]) for sup in sups):
         return box if fits else None
     split = _cluster_split(sups)
     if split is not None:
         n_rows, n_cols = split[2]
-        padded = _next_pow2(n_rows) * _next_pow2(n_cols)
+        padded = _padded(n_rows) * _padded(n_cols)
         if padded <= _FOLD_CAP and (not fits or padded < box_padded):
             return split
     return box if fits else None
+
+
+def _padded(n):
+    """_fft_length(n), or a length above _FOLD_CAP when n cells exceed it
+    (a 1-D box at N = 2^40 spans about 2^43 cells)."""
+    return _fft_length(min(n, _FOLD_CAP + 1))
 
 
 def _box_layout(sups):
@@ -428,7 +480,7 @@ def _product_grid(rows, layout, batch, prune):
     folds = -(-n_cols // width)
     if n_times * (n_rows + folds - 1) * width > _FOLD_CAP:
         raise CapacityError(f"the product at {n_times} times holds more than {_FOLD_CAP} cells")
-    batch = max(1, min(batch, _FOLD_CAP // (_next_pow2(n_rows) * _next_pow2(n_cols))))
+    batch = max(1, min(batch, _FOLD_CAP // (_fft_length(n_rows) * _fft_length(n_cols))))
     product = np.zeros((n_times, n_rows + folds - 1, width), dtype=np.complex128)
     for times in np.array_split(np.arange(n_times), -(-n_times // batch)):
         _fold_batch(product[times[0]:times[-1] + 1], rows, layout, times[0], width, prune)
@@ -444,7 +496,7 @@ def _fold_batch(out, rows, layout, lo, width, prune):
     the given width, and prune it per time; the transform arrays are freed
     on return."""
     _, parts, (n_rows, n_cols) = layout
-    grids = np.zeros((len(rows), out.shape[0], _next_pow2(n_rows), _next_pow2(n_cols)),
+    grids = np.zeros((len(rows), out.shape[0], _fft_length(n_rows), _fft_length(n_cols)),
                      dtype=np.complex128)
     for grid, (_, mat), (m, col, _) in zip(grids, rows, parts):
         grid[:, m, col] = mat[lo:lo + out.shape[0]]
@@ -514,7 +566,10 @@ def synthesize(f: SpectralField, oversample: int = 2) -> GridField:
     """Exact trigonometric synthesis at equispaced points.
 
     The grid length is a power of two at least oversample*(2*max|xi|+1),
-    so the synthesis is alias-free and Parseval holds to rounding.
+    so the synthesis is alias-free and Parseval holds to rounding.  It
+    stays a power of two, not the shorter _fft_length of the convolutions:
+    the length fixes the sample points, and so the sup norm, by more than
+    rounding.
     """
     if oversample < 2:
         raise ValueError("oversample must be >= 2")

@@ -187,7 +187,10 @@ def _amalgam_norm(f: SpectralField, spec: NormSpec, oversample: int) -> float:
 def _common_grid_samples(piece: SpectralField, full: SpectralField,
                          oversample: int) -> np.ndarray:
     """Band synthesis on a grid sized from the full field's support, so all
-    bands of one field share the same sample points."""
+    bands of one field share the same sample points.  The grid length is a
+    power of two, as in lattice.synthesize, not the shorter _fft_length of
+    the convolutions: it fixes the sample points behind the amalgam norms,
+    which a change of length would move by more than rounding."""
     maxfreq = int(np.max(np.abs(full.xi)))
     m = 1 << max(2, int(oversample * (2 * maxfreq + 1) - 1).bit_length())
     spectrum = np.zeros(m, dtype=np.complex128)

@@ -27,7 +27,7 @@ import numpy as np
 from .construction import CUBE_CENTERS, BumpData
 from .errors import CapacityError, TruncationTailError
 from .flow import InitialPair, Trajectory, chebyshev_nodes, stable_sinc
-from .lattice import FrequencyLattice, SpectralField, convolve, lambda_symbol
+from .lattice import FrequencyLattice, SpectralField, _fft_length, convolve, lambda_symbol
 
 _TUPLE_BUDGET = 10**7
 _TAIL_TOL = 1e-10
@@ -86,8 +86,8 @@ def _dense_conv_power(u: np.ndarray, k: int):
     noise.
     """
     K = u.size - 1
-    top = k * K + 1  # product modes 0..kK, below n2/2: no aliasing
-    n2 = 1 << (2 * k * K).bit_length()
+    top = k * K + 1  # product modes -kK..kK fit in n2 samples: no aliasing
+    n2 = _fft_length(2 * k * K + 1)
     samples, spec = _real_buffers(n2)
     np.fft.irfft(u, n2, norm="forward", out=samples)
     if k == 2:
@@ -97,13 +97,12 @@ def _dense_conv_power(u: np.ndarray, k: int):
         for _ in range(k - 1):
             samples *= base
     np.fft.rfft(samples, norm="forward", out=spec)
+    mode0 = spec[0].real
     kept = spec[: K + 1].copy()
-    kept[0] = spec[0].real
-    mags = np.abs(spec[:top], out=samples[:top])
-    mags *= mags
-    discarded = 2.0 * float(np.sum(mags[K + 1:]))
-    total = float(mags[0]) + 2.0 * float(np.sum(mags[1:]))
-    return kept, discarded, total
+    kept[0] = mode0
+    discarded = 2.0 * np.vdot(spec[K + 1:top], spec[K + 1:top]).real
+    total = mode0 * mode0 + 2.0 * np.vdot(spec[1:K + 1], spec[1:K + 1]).real + discarded
+    return kept, float(discarded), float(total)
 
 
 def rk4_solve(pair: InitialPair, horizon: float, dt: float,

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,14 +197,24 @@ def test_verify_all_quick_deterministic(tmp_path):
                a.read_text().strip().splitlines()[1:])
 
 
+# verify-all rows whose exact value is 0: they hold rounding residuals, so
+# any change of summation order moves them by a large relative amount
+ROUNDING_RESIDUALS = {"xi1_closed_vs_quadrature", "tree_sum_identity_j2"}
+
+
 def test_verify_all_quick_matches_golden(tmp_path):
     # tests/data/verify_all_quick.csv holds the output of an earlier
-    # version: a change may move the values by rounding only
+    # version: a change may move the values by rounding only, that is by
+    # 1e-12 relative, or by 64 eps absolute for a rounding residual
     out = tmp_path / "quick.csv"
     assert run(["verify-all", "--quick", "--out", str(out)]) == 0
     golden = Path(__file__).parent / "data" / "verify_all_quick.csv"
     rows = [line.split(",") for line in out.read_text().splitlines()]
     ref = [line.split(",") for line in golden.read_text().splitlines()]
     assert [(name, ok) for name, _, ok in rows] == [(name, ok) for name, _, ok in ref]
+    eps = sys.float_info.epsilon
     for (name, value, _), (_, expected, _) in zip(rows[1:], ref[1:]):
-        assert math.isclose(float(value), float(expected), rel_tol=1e-12, abs_tol=0.0), name
+        if name in ROUNDING_RESIDUALS:
+            assert abs(float(value) - float(expected)) <= 64 * eps, name
+        else:
+            assert math.isclose(float(value), float(expected), rel_tol=1e-12, abs_tol=0.0), name

@@ -371,7 +371,10 @@ def test_fold_grid_above_the_cap_raises(monkeypatch):
 
 def test_fold_cap_bounds_transforms_and_product(monkeypatch):
     # three mode pairs over |xi| <= 2050 on the 1-D box: the product of two
-    # has 8201 cells per time, padded to 16384, at 17 quadrature times
+    # has 8201 cells per time, padded to the transform length of 8201 cells,
+    # at 17 quadrature times
+    cells, times = 8201, 17
+    padded = lattice_module._fft_length(cells)
     lattice = FrequencyLattice(period=1.0, cutoff=1 << 20)
     field = SpectralField(lattice, np.array([-2050, -7, 0, 7, 2050]),
                           np.array([0.5 - 0.5j, 1 + 2j, 3.0, 1 - 2j, 0.5 + 0.5j]))
@@ -387,14 +390,17 @@ def test_fold_cap_bounds_transforms_and_product(monkeypatch):
             return _transform(a, *rest, **kw)
 
         monkeypatch.setattr(np.fft, name, spy)
-    # 17 x 16384 padded cells per factor in one transform would exceed it
-    monkeypatch.setattr(lattice_module, "_FOLD_CAP", 1 << 18)
+    # 17 padded rows per factor in one transform would exceed this cap,
+    # while the 17 x 8201 product fits under it
+    cap = times * padded - 1
+    assert times * cells <= cap
+    monkeypatch.setattr(lattice_module, "_FOLD_CAP", cap)
     capped = duhamel([traj, traj], 0.7)
-    assert len(per_factor) == 2 and max(per_factor) <= 1 << 18
+    assert len(per_factor) == 2 and max(per_factor) <= cap
     assert np.array_equal(capped.xi, reference.xi)
     assert np.allclose(capped.c, reference.c, rtol=1e-14, atol=0.0)
     # 17 x 8201 product cells exceed it: raised before the product exists
-    monkeypatch.setattr(lattice_module, "_FOLD_CAP", 1 << 17)
+    monkeypatch.setattr(lattice_module, "_FOLD_CAP", times * cells - 1)
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
@@ -402,7 +408,7 @@ def test_fold_cap_bounds_transforms_and_product(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 17 * 8201 * 16 // 4
+    assert peak < times * cells * 16 // 4
 
 
 def assert_trajectory_matches_single_times(monkeypatch, args, folds):
@@ -426,6 +432,25 @@ def test_trajectory_matches_single_times_with_carry(monkeypatch):
     assert n_cols > base
     for args in ([traj, traj], [traj, traj, traj]):
         assert_trajectory_matches_single_times(monkeypatch, args, FOLDS)
+
+
+@pytest.mark.parametrize("layout", ["grid", "box"])
+def test_trajectory_agrees_across_transform_lengths(monkeypatch, layout):
+    # the 5-smooth grid shape against the powers of two it replaced, on the
+    # grid with carry and on the 1-D box
+    lattice = FrequencyLattice(period=1.0, cutoff=1 << 20)
+    traj = two_cluster_trajectory(lattice)
+    for args in ([traj, traj], [traj, traj, traj]):
+        out = []
+        for length in (lattice_module._fft_length, lattice_module._next_pow2):
+            monkeypatch.setattr(*FOLDS[layout])
+            monkeypatch.setattr(lattice_module, "_fft_length", length)
+            out.append(duhamel_trajectory(args))
+            monkeypatch.undo()
+        smooth, pow2 = out
+        assert np.array_equal(smooth.support, pow2.support)
+        scale = np.max(np.abs(pow2.values))
+        assert np.max(np.abs(smooth.values - pow2.values)) <= 1e-12 * scale
 
 
 def test_trajectory_matches_single_times_on_bump_terms(monkeypatch):
@@ -519,6 +544,34 @@ def test_trajectory_json_roundtrip_is_exact(lattice):
         assert back.to_json() == traj.to_json()
 
 
+def test_trajectory_json_versioned_and_unversioned(lattice):
+    traj = linear_flow(InitialPair(hermitian_field(lattice, 93, 6),
+                                   hermitian_field(lattice, 94, 6)), 0.5, 8)
+    doc = json.loads(traj.to_json())
+    assert doc["version"] == lattice_module.JSON_VERSION
+    assert all(f["version"] == lattice_module.JSON_VERSION for f in doc["fields"])
+    # documents written before versioning hold no version key
+    del doc["version"]
+    for f in doc["fields"]:
+        del f["version"]
+    back = Trajectory.from_json(json.dumps(doc))
+    assert back.to_json() == traj.to_json()
+    assert back.values.tobytes() == traj.values.tobytes()
+
+
+def test_trajectory_json_rejects_unknown_keys_and_versions(lattice):
+    traj = linear_flow(InitialPair(hermitian_field(lattice, 95, 6),
+                                   SpectralField.zero(lattice)), 0.5, 8)
+    for edit in (lambda d: d.update(degree=8),
+                 lambda d: d.update(version=lattice_module.JSON_VERSION + 1),
+                 lambda d: d["fields"][2].update(extra=1),
+                 lambda d: d["fields"][0].update(version="1")):
+        doc = json.loads(traj.to_json())
+        edit(doc)
+        with pytest.raises(ValueError):
+            Trajectory.from_json(json.dumps(doc))
+
+
 # ----------------------------------------------------------------------
 # the (support, matrix) trajectory against its per-node fields
 # ----------------------------------------------------------------------
@@ -545,6 +598,7 @@ def assert_matches_node_fields(a, b):
     for t in (0.0, 0.37 * a.horizon, a.nodes[3], a.horizon):
         assert field_bytes(a.at(t)) == field_bytes(from_fields.at(t))
     assert a.to_json() == json.dumps({
+        "version": lattice_module.JSON_VERSION,
         "horizon": a.horizon,
         "nodes": [float(t) for t in a.nodes],
         "fields": [json.loads(f.to_json()) for f in fa],

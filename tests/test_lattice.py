@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gibq import lattice as lattice_module
+from gibq.construction import make_bump, schedule_from_N
 from gibq.errors import CutoffOverflowError, LatticeMismatchError
 from gibq.lattice import (
     FrequencyLattice,
@@ -18,6 +19,7 @@ from gibq.lattice import (
     synthesize,
 )
 from gibq.norms import NormSpec, norm
+from gibq.oracle import closure_from_depth
 
 from conftest import hermitian_field
 
@@ -265,6 +267,40 @@ def test_fold_order_agreement(lattice):
 
 
 # ----------------------------------------------------------------------
+# transform lengths
+# ----------------------------------------------------------------------
+
+def smallest_smooth_at_least(n):
+    """Brute force: the first m >= n with no prime factor above 5."""
+    m = n
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    assert [lattice_module._fft_length(n) for n in range(1, 5001)] == [
+        smallest_smooth_at_least(n) for n in range(1, 5001)]
+
+
+@pytest.mark.parametrize("N", [1 << 11, 1 << 12])
+def test_fft_length_of_the_rk4_blocks(N):
+    # the real transform pair of a depth-13 RK4 run of the bump at N:
+    # 2kK + 1 samples hold the product without aliasing
+    params = schedule_from_N(N, 2, -0.75, delta_hint=0.25)
+    K = closure_from_depth(make_bump(params, params.lattice()).phi, 2, 13)
+    n = 4 * K + 1
+    length = lattice_module._fft_length(n)
+    assert length == smallest_smooth_at_least(n)
+    assert length < lattice_module._next_pow2(n)
+
+
+# ----------------------------------------------------------------------
 # serialization and invariants
 # ----------------------------------------------------------------------
 
@@ -289,6 +325,29 @@ def test_json_without_lattice_keys_uses_arguments():
     doc = {"period": 1.0, "entries": [{"xi": 2, "re": 1.0, "im": 0.0}]}
     g = SpectralField.from_json(json.dumps(doc), cutoff=64, kind="line_approx")
     assert g.lattice == FrequencyLattice(period=1.0, cutoff=64, kind="line_approx")
+
+
+def test_json_versioned_roundtrip_and_unversioned_documents(lattice):
+    f = hermitian_field(lattice, seed=7, max_freq=6)
+    doc = json.loads(f.to_json())
+    assert doc["version"] == lattice_module.JSON_VERSION
+    del doc["version"]
+    for text in (f.to_json(), json.dumps(doc)):
+        g = SpectralField.from_json(text)
+        assert g.lattice == f.lattice
+        assert g.xi.tobytes() == f.xi.tobytes() and g.c.tobytes() == f.c.tobytes()
+        assert g.to_json() == f.to_json()
+
+
+def test_json_rejects_unknown_keys_and_versions(lattice):
+    f = hermitian_field(lattice, seed=7, max_freq=6)
+    for edit in (lambda d: d.update(extra=1),
+                 lambda d: d["entries"][0].update(extra=1),
+                 lambda d: d.update(version=lattice_module.JSON_VERSION + 1)):
+        doc = json.loads(f.to_json())
+        edit(doc)
+        with pytest.raises(ValueError):
+            SpectralField.from_json(json.dumps(doc))
 
 
 def test_json_sorted_by_xi(lattice):

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from gibq import lattice as lattice_module
+from gibq import oracle as oracle_module
 from gibq.construction import make_bump, schedule, schedule_from_N
 from gibq.errors import CapacityError
 from gibq.flow import InitialPair, chebyshev_nodes, duhamel, linear_flow
@@ -80,6 +82,18 @@ def test_dense_conv_power_half_block_matches_convolve(monkeypatch, k):
     assert kept[0].imag == 0.0
     _assert_conv_power_matches((kept, discarded, total),
                                (kept_ref[K:], discarded_ref, total_ref))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dense_conv_power_agrees_across_transform_lengths(monkeypatch, k):
+    # the 5-smooth length against the power of two the pair once used
+    K = 1000
+    u = _hermitian_block(90 + k, K)[K:]
+    smooth = _dense_conv_power(u, k)
+    monkeypatch.setattr(oracle_module, "_fft_length", lattice_module._next_pow2)
+    pow2 = _dense_conv_power(u, k)
+    assert lattice_module._fft_length(2 * k * K + 1) < lattice_module._next_pow2(2 * k * K + 1)
+    _assert_conv_power_matches(smooth, pow2)
 
 
 def test_rk4_rejects_non_hermitian_data(lattice):
