@@ -30,7 +30,7 @@ from .oracle import (
     rk4_solve,
     xi1_closed_form,
 )
-from .series import partial_sum
+from .series import FIXED_POINT_TOL, fixed_point, partial_sum
 from .trees import count_table_csv
 
 
@@ -131,8 +131,6 @@ def _cmd_solve(args) -> int:
         ledger = acc.ledger
         ratios = [""] + [repr(r) for r in acc.ratios()]
     else:
-        from .series import FIXED_POINT_TOL, fixed_point
-
         traj = fixed_point(data, params.k, params.T, FIXED_POINT_TOL, degree)
         ledger = [traj.sup_l1()]
         ratios = [""]
@@ -172,13 +170,8 @@ def _cmd_norms(args) -> int:
         fields = _embedding_corpus(args.corpus_size, seed=args.seed)
         lines = ["field,check,lhs,rhs,ratio,holds"]
         for i, f in enumerate(fields):
-            for m in check_embeddings(f, args.s):
-                lines.append(
-                    f"{i},{m.name},{m.lhs!r},{m.rhs!r},{m.ratio!r},"
-                    f"{str(m.holds).lower()}"
-                )
             u, v = f, fields[(i + 1) % len(fields)]
-            for m in check_algebra(u, v):
+            for m in check_embeddings(f, args.s) + check_algebra(u, v):
                 lines.append(
                     f"{i},{m.name},{m.lhs!r},{m.rhs!r},{m.ratio!r},"
                     f"{str(m.holds).lower()}"

@@ -3,10 +3,10 @@
 Time-dependent spectral data is stored at Chebyshev-Gauss-Lobatto nodes on
 [0, T], as one (nodes x support) matrix over the frequencies nonzero at
 some node, and evaluated anywhere by barycentric interpolation, one
-matrix product for any number of times.  Every time
-dependence produced here is a finite combination of cos/sin with radian
-rates at most (k-1)j+1 (the symbol is bounded by 1), so degree-16 nodes
-already give spectral accuracy on the horizons this package uses.
+matrix product for any number of times.  Every time dependence produced
+here is a finite combination of cos/sin with radian rates at most
+(k-1)j+1 (the symbol is bounded by 1), so degree-16 nodes already give
+spectral accuracy on the horizons this package uses.
 
 The Duhamel operator computes, per output frequency xi,
 
@@ -18,7 +18,9 @@ convolution on a grid of cells xi = m*B + r).  A whole trajectory forms
 the product once, on the Chebyshev grid of degree D = sum of the argument
 degrees: the product of the arguments' interpolants is a polynomial of
 degree D in time, so interpolating it from that grid to the quadrature
-nodes of every output node is exact.
+nodes of every output node is exact.  The integral is linear in the
+product, so duhamel_sum adds the scaled products of a series generation's
+compositions on that grid and interpolates and integrates the sum once.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .lattice import (
     check_json_doc,
     fold_product,
     lambda_symbol,
+    sum_on_union,
 )
 
 DEFAULT_DEGREE = 16
@@ -203,13 +206,13 @@ class Trajectory:
 
     def at(self, t: float) -> SpectralField:
         """Barycentric evaluation at any t in [0, horizon]."""
-        c = barycentric_coeffs(self.nodes, t) @ self.values
+        c = _interpolate(barycentric_coeffs(self.nodes, t), self.values)
         keep = c != 0
         return SpectralField(self.lattice, self.support[keep], c[keep])
 
     def rows_at(self, times: np.ndarray):
         """Support plus a (len(times) x nnz) matrix of interpolated values."""
-        return self.support, barycentric_coeffs(self.nodes, times) @ self.values
+        return self.support, _interpolate(barycentric_coeffs(self.nodes, times), self.values)
 
     def sup_l1(self) -> float:
         return self._sup_row_l1(self.values)
@@ -265,13 +268,6 @@ class Trajectory:
         return cls.from_fields(fields[0].lattice, doc["horizon"],
                                np.array(doc["nodes"], dtype=float), fields)
 
-    @classmethod
-    def zero(cls, lattice: FrequencyLattice, horizon: float,
-             degree: int = DEFAULT_DEGREE) -> "Trajectory":
-        nodes = chebyshev_nodes(degree, horizon)
-        return cls(lattice, horizon, nodes, np.empty(0, np.int64),
-                   np.zeros((nodes.size, 0), dtype=np.complex128))
-
 
 def linear_flow(pair: InitialPair, horizon: float,
                 degree: int = DEFAULT_DEGREE) -> Trajectory:
@@ -321,40 +317,49 @@ def duhamel(args: list, t_eval: float, quad_degree: int = DEFAULT_DEGREE,
     lattice = args[0].lattice
     if t_eval < 0 or t_eval > args[0].horizon * (1 + 1e-12):
         raise ValueError("t_eval outside [0, horizon]")
-    if t_eval == 0.0:
-        return SpectralField.zero(lattice)
     taus = chebyshev_nodes(quad_degree, t_eval)
     xi, values = fold_product([a.rows_at(taus) for a in args], taus.size, prune)
-    out = np.zeros(xi.size, dtype=np.complex128)
-    _integrate(out, lattice, len(args), xi, values, t_eval, quad_degree, prune)
+    if lattice.weight != 1.0:
+        values *= lattice.weight ** (len(args) - 1)
+    # the product is already at the quadrature nodes: identity interpolation
+    out = _integrate(lattice, xi, np.array([t_eval]), values,
+                     np.eye(taus.size)[None], quad_degree, prune)[0]
     keep = out != 0
     return SpectralField(lattice, xi[keep], out[keep])
 
 
 def duhamel_trajectory(args: list, quad_degree: int = DEFAULT_DEGREE,
                        prune: float = PRUNE_REL) -> Trajectory:
-    """Duhamel integral evaluated at every node of the first argument's grid.
+    """Duhamel integral at every node of the first argument's grid."""
+    return duhamel_sum([(1, args)], quad_degree, prune)
 
-    The k-fold product is formed once, on the Chebyshev-Lobatto grid of
-    degree D = sum of the argument degrees on [0, T].  Each argument is a
-    polynomial in time of its own degree, so the product is one of degree
-    D, and interpolating it from that grid to the quadrature nodes of each
-    output node is exact: every node gets the integral duhamel(args, t)
-    would give, from one product instead of one per node.
-    """
-    _check_args(args)
-    base = args[0]
-    degree = sum(a.degree for a in args)
-    # half as many times per transform as a single-time fold takes, so that
-    # the product on the whole grid and one batch's transforms together
-    # stay near the memory of one single-time fold
+
+def duhamel_sum(groups: list, quad_degree: int = DEFAULT_DEGREE,
+                prune: float = PRUNE_REL) -> Trajectory:
+    """Sum over groups (count, args) of count times the Duhamel integral
+    of args, at every node of the first argument of the first group; the
+    products share the grid of the largest degree sum D of a group."""
+    _check_args([a for _, args in groups for a in args])
+    base = groups[0][1][0]
+    degree = max(sum(a.degree for a in args) for _, args in groups)
     grid = chebyshev_nodes(degree, base.horizon)
-    xi, values = fold_product([a.rows_at(grid) for a in args],
-                              max(1, (quad_degree + 1) // 2), prune)
-    interp = _product_interpolation(base.degree, degree, quad_degree)
-    out = np.zeros((base.nodes.size, xi.size), dtype=np.complex128)
-    for row, t, mat in zip(out, base.nodes, interp):
-        _integrate(row, base.lattice, len(args), xi, mat @ values, float(t), quad_degree, prune)
+    parts = []
+    for count, args in groups:
+        rows = {id(a): a.rows_at(grid) for a in args}  # a factor may recur
+        # half as many times per transform as a single-time fold takes, so
+        # that the product on the whole grid and one batch's transforms
+        # together stay near the memory of one single-time fold
+        xi, values = fold_product([rows[id(a)] for a in args],
+                                  max(1, (quad_degree + 1) // 2), prune)
+        factor = count * base.lattice.weight ** (len(args) - 1)
+        if factor != 1.0:
+            values *= factor
+        parts.append((xi, values))
+    xi, product = sum_on_union(parts)
+    del rows, parts, values  # the kernel pass needs only the sum
+    out = _integrate(base.lattice, xi, base.nodes, product,
+                     _product_interpolation(base.degree, degree, quad_degree),
+                     quad_degree, prune)
     return Trajectory.from_rows(base.lattice, base.horizon, base.nodes, xi, out)
 
 
@@ -373,19 +378,34 @@ def _product_interpolation(node_degree: int, degree: int,
     return mats
 
 
-def _integrate(out, lattice, k, xi, values, t_eval, quad_degree, prune):
-    """Write into out the Clenshaw-Curtis sum over [0, t_eval] of
-    sin((t_eval-tau) lam) lam times the product values at the quadrature
-    nodes (one row per node), with the entries below prune times the
-    largest set to zero."""
-    if xi.size == 0 or t_eval == 0.0:
-        return
-    taus = chebyshev_nodes(quad_degree, t_eval)
-    weights = clenshaw_curtis_weights(quad_degree) * (t_eval / 2.0)
-    lam = lambda_symbol(xi, lattice)
-    kernel = np.sin(np.outer(t_eval - taus, lam)) * lam[None, :]
-    out[:] = np.einsum("q,qm,qm->m", weights, kernel, values)
-    if lattice.weight != 1.0:
-        out *= lattice.weight ** (k - 1)
-    mags = np.abs(out)
-    out[mags < prune * np.max(mags)] = 0
+def _interpolate(coeffs, values):
+    """coeffs @ values for real coeffs, as one product on the float view."""
+    return (coeffs @ np.ascontiguousarray(values).view(np.float64)).view(np.complex128)
+
+
+def _integrate(lattice, xi, times, product, interp, quad_degree, prune):
+    """The (times x xi) matrix of Clenshaw-Curtis sums over [0, t] of
+    sin((t-tau) lam) lam times the product at the quadrature nodes tau,
+    each row with the entries below prune times its largest set to zero.
+
+    interp[i] maps the rows of product to the quadrature nodes of
+    times[i].  The times go in batches whose quadrature rows together fit
+    in the rows of product, so no array outgrows the product.
+    """
+    out = np.zeros((times.size, xi.size), dtype=np.complex128)
+    # the kernel depends on xi through lam alone, which is even in xi and
+    # 1.0 in float64 beyond |omega| ~ 1e8: one sine per distinct lam
+    lam, inverse = np.unique(lambda_symbol(xi, lattice), return_inverse=True)
+    spans = times[:, None] - chebyshev_nodes(quad_degree, times[:, None])  # t - tau
+    weights = clenshaw_curtis_weights(quad_degree) * (times[:, None] / 2.0)
+    batch = max(1, product.shape[0] // (quad_degree + 1))
+    for lo in range(int(times[0] == 0.0), times.size, batch):  # zero on [0, 0]
+        kernel = np.sin(spans[lo:lo + batch, :, None] * lam) * lam
+        kernel *= weights[lo:lo + batch, :, None]
+        values = _interpolate(interp[lo:lo + batch].reshape(-1, interp.shape[2]), product)
+        values = values.reshape(kernel.shape[:2] + (xi.size,))
+        values *= kernel[..., inverse]
+        rows = np.sum(values, axis=1, out=out[lo:lo + batch])
+        mags = np.abs(rows)
+        rows[mags < prune * np.max(mags, axis=1, keepdims=True, initial=0.0)] = 0
+    return out

@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -242,28 +242,9 @@ class InflationReport:
     runtime_seconds: float = 0.0
 
     def as_dict(self, include_runtime: bool = False) -> dict:
-        doc = {
-            "schema_version": self.schema_version,
-            "params": self.params,
-            "seed": self.seed,
-            "families": self.families,
-            "perturbation": self.perturbation,
-            "xi_terms_at_T": self.xi_terms_at_T,
-            "xi1_bump": self.xi1_bump,
-            "i1_hs": self.i1_hs,
-            "i2_hs": self.i2_hs,
-            "i2_over_i1": self.i2_over_i1,
-            "split_reconstruction_error": self.split_reconstruction_error,
-            "tail_sum_hs": self.tail_sum_hs,
-            "ledger": self.ledger,
-            "series_ledger": self.series_ledger,
-            "series_ratios": self.series_ratios,
-            "series_converged": self.series_converged,
-            "solution_method": self.solution_method,
-            "solution_norms": self.solution_norms,
-        }
-        if include_runtime:
-            doc["runtime_seconds"] = self.runtime_seconds
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        if not include_runtime:
+            del doc["runtime_seconds"]
         return doc
 
 
@@ -448,14 +429,9 @@ def run_inflation(params: InflationParams,
 def _mixed_first_term(flow_base, flow_bump, k: int, horizon: float,
                       degree: int) -> SpectralField:
     """Sum of first-order Duhamel terms with at least one base argument."""
-    total = None
-    for pattern in itertools.product((0, 1), repeat=k):
-        if all(p == 1 for p in pattern):
-            continue
-        args = [flow_bump if p else flow_base for p in pattern]
-        piece = duhamel(args, horizon, degree)
-        total = piece if total is None else total + piece
-    return total
+    pieces = [duhamel([flow_bump if p else flow_base for p in pattern], horizon, degree)
+              for pattern in itertools.product((0, 1), repeat=k) if not all(pattern)]
+    return sum(pieces[1:], pieces[0])
 
 
 # ----------------------------------------------------------------------

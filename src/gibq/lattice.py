@@ -383,6 +383,32 @@ def fold_product(rows, batch: int, prune: float):
     return _product_grid(rows, layout, batch, prune)
 
 
+def sum_on_union(parts):
+    """The sum of (xi, times x xi) products, on the union of their supports.
+
+    A single part is returned as it is; more are added into one that holds
+    the whole union, overwriting it, or else into a new matrix.  Raises
+    CapacityError, before any allocation, when the sum exceeds _FOLD_CAP cells.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    xi = np.unique(np.concatenate([sup for sup, _ in parts]))
+    n_times = parts[0][1].shape[0]
+    if n_times * xi.size > _FOLD_CAP:
+        raise CapacityError(f"the sum at {n_times} times holds more than {_FOLD_CAP} cells")
+    out = next((values for sup, values in parts if sup.size == xi.size), None)
+    if out is None:
+        out = np.zeros((n_times, xi.size), dtype=np.complex128)
+    for sup, values in parts:
+        if values is out:
+            continue
+        if sup.size == xi.size:
+            out += values
+        else:
+            out[:, np.searchsorted(xi, sup)] += values
+    return xi, out
+
+
 def _fold_layout(sups):
     """Grid for the product fold, or None when no padded transform fits
     under _FOLD_CAP cells.
@@ -542,11 +568,6 @@ class GridField:
     def l2(self) -> float:
         """Mean-square norm matching the frequency-side H^0 norm exactly."""
         return math.sqrt(float(np.mean(self.samples**2)) * self.weight_scale)
-
-    def lp(self, p: float) -> float:
-        if math.isinf(p):
-            return self.max_abs()
-        return float(np.mean(np.abs(self.samples) ** p) * self.weight_scale) ** (1.0 / p)
 
     def to_csv(self) -> str:
         xs = self.period * np.arange(self.size) / self.size

@@ -257,10 +257,9 @@ def check_algebra(u: SpectralField, v: SpectralField) -> list:
     fl = NormSpec("fourier_lebesgue", 0.0, 1.0)
     m21 = NormSpec("modulation", 0.0, 1.0)
     prod = convolve(u, v, prune=0.0)
-    out = [
+    return [
         InequalityMargin("FL1 algebra", norm(prod, fl),
                          norm(u, fl) * norm(v, fl)),
         InequalityMargin("M(2,1) algebra (measured C)", norm(prod, m21),
                          max(norm(u, m21) * norm(v, m21), 1e-300)),
     ]
-    return out

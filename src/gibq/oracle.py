@@ -144,12 +144,11 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
 
     def rhs(state):
         uu, vv = state
-        if nonlinear:
-            with np.errstate(over="ignore", invalid="ignore"):
-                power, discarded, total = _dense_conv_power(uu, k)
-                if math.isfinite(total) and total > 0:
-                    tail = math.sqrt(discarded / total)
-                    diag.max_tail_fraction = max(diag.max_tail_fraction, tail)
+        if nonlinear:  # called only inside the step loop's errstate block
+            power, discarded, total = _dense_conv_power(uu, k)
+            if math.isfinite(total) and total > 0:
+                tail = math.sqrt(discarded / total)
+                diag.max_tail_fraction = max(diag.max_tail_fraction, tail)
             # Sign matches the Duhamel form u = S(t)u0 + I_k(u) that the
             # series solves; for even k this is the u -> -u image of the
             # opposite convention, so all norms coincide.

@@ -22,6 +22,7 @@ from .flow import (
     DEFAULT_DEGREE,
     InitialPair,
     Trajectory,
+    duhamel_sum,
     duhamel_trajectory,
     linear_flow,
 )
@@ -67,15 +68,10 @@ def xi_terms(pair: InitialPair, k: int, max_gen: int, horizon: float,
         raise ValueError("max generation must be >= 0")
     terms = [linear_flow(pair, horizon, degree)]
     for j in range(1, max_gen + 1):
-        # products commute, so symmetric compositions share one Duhamel call
+        # products commute, so symmetric compositions share one fold
         groups = Counter(tuple(sorted(c)) for c in compositions(j - 1, k))
-        total = None
-        for rep in sorted(groups):
-            piece = duhamel_trajectory([terms[ji] for ji in rep], degree)
-            if groups[rep] > 1:
-                piece = piece.scale(float(groups[rep]))
-            total = piece if total is None else total + piece
-        terms.append(total)
+        terms.append(duhamel_sum(
+            [(groups[rep], [terms[ji] for ji in rep]) for rep in sorted(groups)], degree))
     return terms
 
 
@@ -107,9 +103,7 @@ def partial_sum(pair: InitialPair, k: int, max_gen: int, horizon: float,
         SeriesTerm(j, traj, (k - 1) * j + 1)
         for j, traj in enumerate(trajectories)
     ]
-    total = trajectories[0]
-    for traj in trajectories[1:]:
-        total = total + traj
+    total = sum(trajectories[1:], trajectories[0])
     ledger = [traj.sup_l1() for traj in trajectories]
     return SeriesAccumulator(terms=terms, partial=total, ledger=ledger)
 

@@ -80,10 +80,8 @@ def verify_all(quick: bool = True) -> list:
     small = FrequencyLattice(period=1.0, cutoff=1 << 22)
     pair = InitialPair(_seeded_field(small, 11, 8), _seeded_field(small, 12, 8))
     terms = xi_terms(pair, 2, 2, 0.4, 12)
-    by_trees = None
-    for tree in enumerate_trees(2, 2):
-        piece = tree_term(pair, tree, 0.4, 12)
-        by_trees = piece if by_trees is None else by_trees + piece
+    pieces = [tree_term(pair, tree, 0.4, 12) for tree in enumerate_trees(2, 2)]
+    by_trees = sum(pieces[1:], pieces[0])
     ident = terms[2].sup_distance(by_trees) / max(terms[2].sup_l1(), 1e-300)
     results.append(("tree_sum_identity_j2", ident, ident < 1e-10))
 

@@ -15,6 +15,7 @@ from gibq.flow import (
     chebyshev_nodes,
     clenshaw_curtis_weights,
     duhamel,
+    duhamel_sum,
     duhamel_trajectory,
     linear_flow,
     stable_sinc,
@@ -409,6 +410,79 @@ def test_fold_cap_bounds_transforms_and_product(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < times * cells * 16 // 4
+
+
+def test_fold_cap_bounds_the_union_of_a_sum(monkeypatch):
+    # two groups whose products have disjoint supports of 101 modes each:
+    # the sum on the degree-24 grid holds 25 x 202 cells, twice a part
+    lattice = FrequencyLattice(period=1.0, cutoff=1 << 20)
+    rng = np.random.default_rng(7)
+    trajs = []
+    for lo in (0, 200):
+        c = rng.standard_normal(51) + 1j * rng.standard_normal(51)
+        field = SpectralField(lattice, np.arange(lo, lo + 51), c)
+        trajs.append(linear_flow(InitialPair(field, field.scale(0.5)), 0.7, 12))
+    groups = [(2, [trajs[0], trajs[0]]), (1, [trajs[1], trajs[1]])]
+    times, cells = 25, 202
+    reference = duhamel_trajectory(groups[0][1]).scale(2.0) + duhamel_trajectory(groups[1][1])
+    monkeypatch.setattr(*FOLDS["box"])
+    monkeypatch.setattr(lattice_module, "_FOLD_CAP", times * cells)
+    merged = duhamel_sum(groups)
+    assert np.array_equal(merged.support, reference.support)
+    scale = np.max(np.abs(reference.values))
+    assert np.max(np.abs(merged.values - reference.values)) <= 1e-14 * scale
+    # each group's product fits under this cap, their sum does not: raised
+    # before the sum's matrix exists
+    monkeypatch.setattr(lattice_module, "_FOLD_CAP", times * cells - 1)
+    shapes = []
+    zeros = np.zeros
+
+    def spy(shape, *rest, **kw):
+        shapes.append(tuple(np.atleast_1d(shape)))
+        return zeros(shape, *rest, **kw)
+
+    monkeypatch.setattr(np, "zeros", spy)
+    with pytest.raises(CapacityError):
+        duhamel_sum(groups)
+    assert shapes and all(math.prod(shape) < times * cells for shape in shapes)
+
+
+def test_batched_integral_matches_single_times(monkeypatch):
+    # k = 3: the degree-36 product grid has 37 rows, so the kernel pass
+    # takes two output nodes of 13 quadrature rows each per batch
+    lattice = FrequencyLattice(period=1.0, cutoff=1 << 20)
+    traj = two_cluster_trajectory(lattice)
+    rows = []
+    interpolate = flow._interpolate
+
+    def spy(coeffs, values):
+        if values.shape[0] == 37:  # from the product grid, not a trajectory
+            rows.append(coeffs.shape[0])
+        return interpolate(coeffs, values)
+
+    monkeypatch.setattr(flow, "_interpolate", spy)
+    args = [traj, traj, traj]
+    out = duhamel_trajectory(args, quad_degree=12)
+    # nodes 1..12 in six batches; node 0, at t = 0, is zero
+    assert rows == [26] * 6
+    scale = np.max(np.abs(out.values))
+    for i, t in enumerate(out.nodes):
+        ref = duhamel(args, float(t), quad_degree=12)
+        f = out.field(i)
+        assert np.array_equal(f.xi, ref.xi), t
+        assert np.max(np.abs(f.c - ref.c), initial=0.0) <= 1e-12 * scale, t
+
+
+def test_each_integrated_row_is_pruned_at_its_largest_entry():
+    # on a period of 1e8, lam(1) ~ 6e-8: the integrals at xi = +-1, +-2
+    # come to about 1e-15 of those near |xi| = 1e8 and fall below the prune
+    lattice = FrequencyLattice(period=1e8, cutoff=1 << 40)
+    field = SpectralField(lattice, np.array([-10**8, -1, 0, 1, 10**8]), np.ones(5))
+    traj = linear_flow(InitialPair(field, field.scale(0.5)), 0.7, 12)
+    out = duhamel_trajectory([traj, traj])
+    for f in out.fields[1:] + [duhamel([traj, traj], 0.7)]:
+        assert f.nnz > 0 and np.all(np.abs(f.xi) > 2)
+        assert np.min(np.abs(f.c)) >= lattice_module.PRUNE_REL * f.sup()
 
 
 def assert_trajectory_matches_single_times(monkeypatch, args, folds):

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from gibq.harness import (
     validate_config,
 )
 from gibq.norms import NormSpec, norm
+
+from conftest import BIG_N, DELTA, K, S
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +231,15 @@ def test_validate_config_requires_one_index_list():
     cfg.pop("N_list")
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+def test_beyond_threshold_config_is_the_large_scale_point():
+    path = Path(__file__).resolve().parents[1] / "configs" / "beyond_threshold.json"
+    config = validate_config(json.loads(path.read_text()))
+    assert config["N_list"] == [BIG_N]
+    assert (config["k"], config["s"], config["delta"]) == (K, S, DELTA)
+    assert (config["J"], config["p"], config["method"]) == (4, 16, "series")
+    assert config["families"] == [{"family": "fourier_lebesgue", "q": 1}]
 
 
 def test_empty_sweep_has_header():

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from gibq import flow as flow_module
 from gibq.errors import DivergenceError
-from gibq.flow import InitialPair, duhamel_trajectory, linear_flow
-from gibq.lattice import SpectralField
+from gibq.flow import InitialPair, duhamel_sum, duhamel_trajectory, linear_flow
+from gibq.lattice import FrequencyLattice, SpectralField
 from gibq.series import (
     fixed_point,
     partial_sum,
@@ -12,7 +15,7 @@ from gibq.series import (
     xi_term,
     xi_terms,
 )
-from gibq.trees import TERMINAL, enumerate_trees
+from gibq.trees import TERMINAL, compositions, enumerate_trees
 
 from conftest import hermitian_field
 
@@ -37,6 +40,63 @@ def test_generation_one_is_duhamel_of_flow(lattice, pair):
     flow = linear_flow(pair, HORIZON, DEGREE)
     direct = duhamel_trajectory([flow, flow], DEGREE)
     assert terms[1].sup_distance(direct) <= 1e-14 * direct.sup_l1()
+
+
+def composition_groups(terms, k, j):
+    """The (count, args) groups of generation j, as xi_terms forms them."""
+    groups = Counter(tuple(sorted(c)) for c in compositions(j - 1, k))
+    return [(groups[rep], [terms[ji] for ji in rep]) for rep in sorted(groups)]
+
+
+def sum_of_pieces(groups):
+    """Each group's duhamel_trajectory scaled by its count, then added up:
+    one interpolation and kernel pass per group."""
+    total = None
+    for count, args in groups:
+        piece = duhamel_trajectory(args, DEGREE)
+        if count > 1:
+            piece = piece.scale(float(count))
+        total = piece if total is None else total + piece
+    return total
+
+
+@pytest.mark.parametrize("k, max_gen, kind", [
+    (2, 4, "torus"), (3, 3, "torus"), (2, 4, "line_approx"),
+])
+def test_duhamel_sum_matches_scaled_pieces(k, max_gen, kind):
+    lattice = FrequencyLattice(period=1.0 if kind == "torus" else 8.0,
+                               cutoff=1 << 24, kind=kind)
+    pair = InitialPair(hermitian_field(lattice, 111, 10, amplitude=0.4),
+                       hermitian_field(lattice, 112, 10, amplitude=0.4))
+    terms = xi_terms(pair, k, max_gen, HORIZON, DEGREE)
+    counts = set()
+    for j in range(1, max_gen + 1):
+        groups = composition_groups(terms, k, j)
+        counts.update(count for count, _ in groups)
+        merged, pieces = duhamel_sum(groups, DEGREE), sum_of_pieces(groups)
+        assert np.array_equal(merged.support, pieces.support), j
+        scale = np.max(np.abs(pieces.values))
+        assert np.max(np.abs(merged.values - pieces.values)) <= 1e-14 * scale, j
+        assert merged.sup_distance(terms[j]) == 0.0
+    assert max(counts) == k  # some group stands for k compositions
+
+
+def test_xi_terms_makes_one_kernel_pass_per_generation(monkeypatch, lattice, pair):
+    passes = []
+    integrate = flow_module._integrate
+
+    def counted(*args, **kwargs):
+        passes.append(args[1].size)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(flow_module, "_integrate", counted)
+    for k, max_gen in ((2, 4), (3, 3)):
+        passes.clear()
+        terms = xi_terms(pair, k, max_gen, HORIZON, DEGREE)
+        assert len(passes) == max_gen
+        # each pass integrates the whole support of its generation (with
+        # xi = 0, where lam = 0 makes the integral vanish)
+        assert passes == [t.support.size + 1 for t in terms[1:]]
 
 
 def test_zero_data_gives_zero_terms(lattice):
