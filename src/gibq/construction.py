@@ -72,6 +72,27 @@ def _derive(N: int, s: float, k: int, delta: float):
     return R, T
 
 
+def _checked_exponents(s: float, k: int, sigma: float | None,
+                       delta_hint: float | None) -> tuple:
+    """(sigma, delta) of a schedule: s < 0 and k >= 2 are checked, sigma
+    defaults to s and delta to half its ceiling; a delta_hint outside
+    (0, ceiling) raises ValueError."""
+    if s >= 0:
+        raise ValueError("regularity s must be negative")
+    if k < 2:
+        raise ValueError("arity k must be >= 2")
+    ceiling = delta_ceiling(s, k)
+    if delta_hint is None:
+        delta = ceiling / 2.0
+    elif 0.0 < delta_hint < ceiling:
+        delta = delta_hint
+    else:
+        raise ValueError(
+            f"delta_hint {delta_hint} outside the valid interval (0, {ceiling})"
+        )
+    return (s if sigma is None else sigma), delta
+
+
 def schedule(n: int, k: int, s: float, sigma: float | None = None,
              delta_hint: float | None = None,
              force_pow2: bool = False,
@@ -82,24 +103,9 @@ def schedule(n: int, k: int, s: float, sigma: float | None = None,
     by raising N to a power of two; pass 0 to reproduce the raw formula
     arithmetic (disjointness is then only guarded by make_bump).
     """
-    if s >= 0:
-        raise ValueError("regularity s must be negative")
-    if k < 2:
-        raise ValueError("arity k must be >= 2")
+    sigma, delta = _checked_exponents(s, k, sigma, delta_hint)
     if n < 1:
         raise ValueError("inflation index n must be >= 1")
-    ceiling = delta_ceiling(s, k)
-    if delta_hint is not None:
-        if not (0.0 < delta_hint < ceiling):
-            raise ValueError(
-                f"delta_hint {delta_hint} outside the valid interval "
-                f"(0, {ceiling})"
-            )
-        delta = delta_hint
-    else:
-        delta = ceiling / 2.0
-    if sigma is None:
-        sigma = s
     adjustments = []
     N = math.ceil(float(n) ** (2.0 / delta))
     if force_pow2 and N != _next_pow2(N):
@@ -127,20 +133,7 @@ def schedule_from_N(N: int, k: int, s: float, sigma: float | None = None,
     The nominal index n is recovered from N = n^(2/delta) and recorded for
     the condition margins.
     """
-    if s >= 0:
-        raise ValueError("regularity s must be negative")
-    ceiling = delta_ceiling(s, k)
-    if delta_hint is not None:
-        if not (0.0 < delta_hint < ceiling):
-            raise ValueError(
-                f"delta_hint {delta_hint} outside the valid interval "
-                f"(0, {ceiling})"
-            )
-        delta = delta_hint
-    else:
-        delta = ceiling / 2.0
-    if sigma is None:
-        sigma = s
+    sigma, delta = _checked_exponents(s, k, sigma, delta_hint)
     if N <= DEFAULT_A:
         raise ValueError(
             f"forced N must exceed A = {DEFAULT_A} for disjoint cubes"

@@ -5,8 +5,11 @@ Three oracles, all structurally independent of the Picard machinery:
 * rk4_solve  -- classical RK4 on the per-frequency second-order system
                 u_tt^ = -lam^2 (u^ + (u^k)^) of real data, run on the
                 modes 0..K of a dense frequency block |xi| <= K with a
-                monitored hard cutoff; the power (u^k)^ is taken with a
-                real FFT pair.
+                hard cutoff; the power (u^k)^ is taken with a real FFT
+                pair.  Each step start takes the whole power, on
+                2kK + 1 samples, and monitors its tail outside the block;
+                the other three stages take only its alias-free modes
+                0..K, on (k + 1)K + 1 samples.
 * xi1_closed_form -- the first Picard term of the bump evaluated without
                 quadrature, by expanding the cosine product into 2^(k-1)
                 cosines and integrating each against sin((T-t')lam)lam
@@ -39,6 +42,9 @@ _TAIL_TOL = 1e-10
 
 @dataclass
 class OdeDiagnostics:
+    """What rk4_solve saw.  max_tail_fraction is the largest l2 fraction of
+    the power (u^k)^ outside the block, over the step starts (the stages
+    in between take only the block's modes and are not monitored)."""
     max_tail_fraction: float = 0.0
     closure: int = 0
     enlarged: bool = False
@@ -62,34 +68,37 @@ def closure_from_depth(pair: InitialPair, k: int, depth: int = 6) -> int:
 _conv_buffers = threading.local()
 
 
-def _real_buffers(n2: int):
-    """The real samples buffer (length n2) and the half-spectrum buffer
-    (length n2/2 + 1) of this thread's real transform pair, reallocated
-    only when n2 changes."""
+def _real_buffers(n: int):
+    """This thread's real transform pair for length n: the samples (length
+    n) and the half spectrum (length n/2 + 1), as prefix views of one pair
+    sized for the longest length asked for, so that alternating lengths
+    reallocate nothing."""
     bufs = getattr(_conv_buffers, "pair", None)
-    if bufs is None or bufs[0].size != n2:
-        bufs = (np.empty(n2), np.empty(n2 // 2 + 1, dtype=np.complex128))
+    if bufs is None or bufs[0].size < n:
+        bufs = (np.empty(n), np.empty(n // 2 + 1, dtype=np.complex128))
         _conv_buffers.pair = bufs
-    return bufs
+    return bufs[0][:n], bufs[1][: n // 2 + 1]
 
 
-def _dense_conv_power(u: np.ndarray, k: int):
-    """Modes 0..K of the k-th power of the real field with modes u = 0..K.
+def _dense_conv_power(u: np.ndarray, k: int) -> np.ndarray:
+    """Modes 0..M of the k-th power of the real field with modes u = 0..M.
 
-    The field's modes -K..K are the block u mirrored by c(-xi) = conj
-    c(xi); its real samples are synthesized from u, raised to the k-th
-    power and analysed back with a real transform pair.  Returns
-    (kept, discarded_mass_sq, total_mass_sq): kept holds the product's
-    modes 0..K (mode 0 real), and the two l2 masses are those of the whole
-    product spectrum, -kK..kK, and of its part outside -K..K, summed
-    directly over those modes so the tail monitor is free of cancellation
-    noise.
+    The field's modes -M..M are u mirrored by c(-xi) = conj c(xi); its
+    real samples are synthesized from u, raised to the k-th power and
+    analysed back with a real transform pair.  With D the last nonzero
+    mode of u, the power has modes -kD..kD, and its modes 0..min(M, kD)
+    are free of aliasing on min(M, kD) + kD + 1 samples (Orszag's rule).
+    A dense block (D = M) thus takes (k + 1)M + 1 samples for the modes
+    it keeps; a block zero-padded to kD + 1 modes gets the whole power on
+    2kD + 1.  Mode 0 of the result is real, and modes above kD are zero.
     """
-    K = u.size - 1
-    top = k * K + 1  # product modes -kK..kK fit in n2 samples: no aliasing
-    n2 = _fft_length(2 * k * K + 1)
-    samples, spec = _real_buffers(n2)
-    np.fft.irfft(u, n2, norm="forward", out=samples)
+    M = u.size - 1
+    # the last nonzero mode (M for a zero u); a dense block needs no scan
+    D = M if u[M] != 0 else M - int(np.argmax(u[::-1] != 0))
+    top = min(M, k * D)
+    n = _fft_length(top + k * D + 1)
+    samples, spec = _real_buffers(n)
+    np.fft.irfft(u[: D + 1], n, norm="forward", out=samples)
     if k == 2:
         np.square(samples, out=samples)
     else:  # repeated products: np.power calls pow() for each sample
@@ -97,12 +106,22 @@ def _dense_conv_power(u: np.ndarray, k: int):
         for _ in range(k - 1):
             samples *= base
     np.fft.rfft(samples, norm="forward", out=spec)
-    mode0 = spec[0].real
-    kept = spec[: K + 1].copy()
-    kept[0] = mode0
-    discarded = 2.0 * np.vdot(spec[K + 1:top], spec[K + 1:top]).real
-    total = mode0 * mode0 + 2.0 * np.vdot(spec[1:K + 1], spec[1:K + 1]).real + discarded
-    return kept, float(discarded), float(total)
+    power = np.zeros(M + 1, dtype=np.complex128)
+    power[: top + 1] = spec[: top + 1]
+    power[0] = spec[0].real
+    return power
+
+
+def _tail_masses(power: np.ndarray, K: int) -> tuple:
+    """(discarded, total): the l2 masses of the real field's whole power
+    spectrum, with modes power = 0..kK, outside the block -K..K and in
+    all.  Each is summed directly over its modes, so the tail monitor is
+    free of cancellation noise."""
+    tail = power[K + 1:]
+    discarded = 2.0 * np.vdot(tail, tail).real
+    total = (power[0].real ** 2 + 2.0 * np.vdot(power[1:K + 1], power[1:K + 1]).real
+             + discarded)
+    return float(discarded), float(total)
 
 
 def rk4_solve(pair: InitialPair, horizon: float, dt: float,
@@ -114,10 +133,13 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
     The data must be real: a pair that is not exactly Hermitian raises
     ValueError.  The solution then stays real, and the state holds only
     the modes 0..K of the block |xi| <= K = support_closure; the full
-    block is formed by mirroring at the output nodes.  Each nonlinear
-    evaluation monitors the l2 fraction of the power that falls outside
-    the block.  On a breach the closure is doubled once and the
-    integration restarted; a second breach raises TruncationTailError.
+    block is formed by mirroring at the output nodes.  The first stage of
+    each step forms the whole power, on 2kK + 1 samples, and monitors the
+    l2 fraction of it that falls outside the block; max_tail_fraction is
+    the maximum over step starts.  Stages 2-4 form only the power's modes
+    0..K, alias-free on (k + 1)K + 1 samples.  On a breach the closure is
+    doubled once and the integration restarted; a second breach raises
+    TruncationTailError.
     The first step that leaves u or v non-finite sets blowup_time; no
     later node is recorded.
     """
@@ -142,13 +164,24 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
 
     diag = OdeDiagnostics(closure=K)
 
-    def rhs(state):
+    # u's modes 0..K are stepped in place at the head of a block that is
+    # zero up to the power's modes kK, so each step start passes it whole
+    padded = np.zeros(k * K + 1 if nonlinear else K + 1, dtype=np.complex128)
+    u_half = padded[: K + 1]
+    u_half[:] = u[K:]
+
+    def rhs(state, monitored=False):
         uu, vv = state
         if nonlinear:  # called only inside the step loop's errstate block
-            power, discarded, total = _dense_conv_power(uu, k)
-            if math.isfinite(total) and total > 0:
-                tail = math.sqrt(discarded / total)
-                diag.max_tail_fraction = max(diag.max_tail_fraction, tail)
+            if monitored:  # uu is u_half: the whole power from padded
+                power = _dense_conv_power(padded, k)
+                discarded, total = _tail_masses(power, K)
+                power = power[: K + 1]
+                if math.isfinite(total) and total > 0:
+                    tail = math.sqrt(discarded / total)
+                    diag.max_tail_fraction = max(diag.max_tail_fraction, tail)
+            else:
+                power = _dense_conv_power(uu, k)
             # Sign matches the Duhamel form u = S(t)u0 + I_k(u) that the
             # series solves; for even k this is the u -> -u image of the
             # opposite convention, so all norms coincide.
@@ -161,7 +194,7 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
     # one row per node; nodes at and after a blow-up stay zero
     values = np.zeros((nodes.size, idx.size), dtype=np.complex128)
     values[0] = u
-    state = (u[K:], v[K:])
+    state = (u_half, v[K:])
     t = 0.0
     for i, target in enumerate(nodes[1:], 1):
         seg = float(target) - t
@@ -169,12 +202,13 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
         h = seg / steps
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(steps):
-                k1 = rhs(state)
+                k1 = rhs(state, monitored=True)
                 k2 = rhs((state[0] + 0.5 * h * k1[0], state[1] + 0.5 * h * k1[1]))
                 k3 = rhs((state[0] + 0.5 * h * k2[0], state[1] + 0.5 * h * k2[1]))
                 k4 = rhs((state[0] + h * k3[0], state[1] + h * k3[1]))
+                u_half += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
                 state = (
-                    state[0] + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+                    u_half,
                     state[1] + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
                 )
                 if not (np.all(np.isfinite(state[0])) and np.all(np.isfinite(state[1]))):

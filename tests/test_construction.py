@@ -46,6 +46,14 @@ def test_schedule_rejects_nonnegative_s():
         schedule(1, 2, 0.0)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_both_schedules_reject_arity_below_two(k):
+    with pytest.raises(ValueError, match="arity"):
+        schedule_from_N(2048, k, -0.75)
+    with pytest.raises(ValueError, match="arity"):
+        schedule(1, k, -0.75)
+
+
 def test_schedule_rejects_bad_delta_with_interval():
     with pytest.raises(ValueError) as err:
         schedule(1, 2, -0.5, delta_hint=0.9)

@@ -184,15 +184,14 @@ def test_hermitian_preserved_by_convolve(seed):
     assert convolve(f, g).is_hermitian(1e-12)
 
 
-# Layouts of the fold engine, forced one at a time.  The ids keep the
-# names of the three convolution paths the engine replaced: the layout
-# that _fold_layout picks itself, the 1-D box, and the two-scale grid
-# (the box when no support has two clusters).
+# Layouts of the fold engine, forced one at a time: the layout that
+# _fold_layout picks itself, the 1-D box, and the two-scale grid (the box
+# when no support has two clusters).
 FOLD_LAYOUTS = {
-    "schoolbook": None,
-    "fft_box": lambda sups: lattice_module._box_layout(sups),
-    "chunked_merge": lambda sups: (lattice_module._cluster_split(sups)
-                                   or lattice_module._box_layout(sups)),
+    "auto": None,
+    "box": lambda sups: lattice_module._box_layout(sups),
+    "grid": lambda sups: (lattice_module._cluster_split(sups)
+                          or lattice_module._box_layout(sups)),
 }
 
 

@@ -12,6 +12,7 @@ from gibq.flow import InitialPair, chebyshev_nodes, duhamel, linear_flow
 from gibq.lattice import SpectralField, lambda_symbol
 from gibq.oracle import (
     _dense_conv_power,
+    _tail_masses,
     closure_from_depth,
     convolution_sandwich,
     rk4_solve,
@@ -57,6 +58,16 @@ def _conv_power_reference(u, k):
     return full[centre - K: centre + K + 1], discarded, float(np.sum(mags))
 
 
+def _whole_power(u_half, k):
+    """The whole k-th power through the oracle: modes 0..K zero-padded to
+    0..kK, as rk4_solve passes the state at each step start.  Returns
+    (kept, discarded, total) as the reference does."""
+    K = u_half.size - 1
+    power = _dense_conv_power(np.pad(u_half, (0, (k - 1) * K)), k)
+    assert power.size == k * K + 1
+    return (power[: K + 1], *_tail_masses(power, K))
+
+
 def _assert_conv_power_matches(got, ref, rel=1e-13):
     kept, discarded, total = got
     kept_ref, discarded_ref, total_ref = ref
@@ -77,11 +88,9 @@ def test_dense_conv_power_half_block_matches_convolve(monkeypatch, k):
     K = 40
     u = _hermitian_block(80 + k, K)
     kept_ref, discarded_ref, total_ref = _conv_power_reference(u, k)
-    kept, discarded, total = _dense_conv_power(u[K:], k)
-    assert kept.size == K + 1
-    assert kept[0].imag == 0.0
-    _assert_conv_power_matches((kept, discarded, total),
-                               (kept_ref[K:], discarded_ref, total_ref))
+    got = _whole_power(u[K:], k)
+    assert got[0][0].imag == 0.0
+    _assert_conv_power_matches(got, (kept_ref[K:], discarded_ref, total_ref))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -89,11 +98,53 @@ def test_dense_conv_power_agrees_across_transform_lengths(monkeypatch, k):
     # the 5-smooth length against the power of two the pair once used
     K = 1000
     u = _hermitian_block(90 + k, K)[K:]
-    smooth = _dense_conv_power(u, k)
+    smooth = _whole_power(u, k)
     monkeypatch.setattr(oracle_module, "_fft_length", lattice_module._next_pow2)
-    pow2 = _dense_conv_power(u, k)
+    pow2 = _whole_power(u, k)
     assert lattice_module._fft_length(2 * k * K + 1) < lattice_module._next_pow2(2 * k * K + 1)
     _assert_conv_power_matches(smooth, pow2)
+
+
+def _lengths_asked(monkeypatch, shift=0):
+    """Record the transform lengths _dense_conv_power asks for, and use
+    each one shifted by `shift` samples, whatever its prime factors."""
+    asked = []
+
+    def exact(n):
+        asked.append(n)
+        return n + shift
+
+    monkeypatch.setattr(oracle_module, "_fft_length", exact)
+    return asked
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dense_conv_power_dealiased_modes_match_full_length(monkeypatch, k, seed):
+    # a dense block keeps only the power's modes 0..K, and (k + 1)K + 1
+    # samples hold those free of aliasing (Orszag's rule)
+    K = 997 + 101 * seed
+    u = _hermitian_block(100 + 10 * k + seed, K)[K:]
+    full = _whole_power(u, k)[0]
+    asked = _lengths_asked(monkeypatch)
+    short = _dense_conv_power(u, k)
+    assert asked == [(k + 1) * K + 1]
+    assert short.size == K + 1 and short[0].imag == 0.0
+    assert np.max(np.abs(short - full)) <= 1e-14 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dense_conv_power_aliases_one_sample_short(monkeypatch, k):
+    # on (k + 1)K samples the power's mode -kK folds onto mode K
+    K = 500
+    u = _hermitian_block(120 + k, K)[K:]
+    full = _whole_power(u, k)[0]
+    _lengths_asked(monkeypatch, shift=-1)
+    short = _dense_conv_power(u, k)
+    assert np.max(np.abs(short[:K] - full[:K])) <= 1e-14 * np.max(np.abs(full))
+    alias = np.conj(u[K]) ** k  # mode -kK of the power: conj(u_K)^k
+    assert abs(short[K] - full[K] - alias) <= 1e-14 * np.max(np.abs(full))
+    assert abs(alias) > 1e3 * 1e-14 * np.max(np.abs(full))
 
 
 def test_rk4_rejects_non_hermitian_data(lattice):
