@@ -219,6 +219,10 @@ def _family_spec(spec_dict: dict, s: float) -> NormSpec:
     return NormSpec(spec_dict["family"], s=s, q=q)
 
 
+# InflationReport fields of the runtime record, out of the default as_dict
+_RUNTIME_KEYS = ("runtime_seconds", "series_resolved_degrees", "series_unresolved")
+
+
 @dataclass
 class InflationReport:
     schema_version: int
@@ -240,11 +244,14 @@ class InflationReport:
     solution_method: str
     solution_norms: dict | None
     runtime_seconds: float = 0.0
+    series_resolved_degrees: list = field(default_factory=list)  # per generation
+    series_unresolved: list = field(default_factory=list)  # generations without a plateau
 
     def as_dict(self, include_runtime: bool = False) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         if not include_runtime:
-            del doc["runtime_seconds"]
+            for key in _RUNTIME_KEYS:
+                del doc[key]
         return doc
 
 
@@ -423,6 +430,8 @@ def run_inflation(params: InflationParams,
         solution_method=method,
         solution_norms=solution_norms,
         runtime_seconds=time.perf_counter() - t_start,
+        series_resolved_degrees=acc.resolved_degrees,
+        series_unresolved=acc.unresolved,
     )
 
 

@@ -117,11 +117,17 @@ def _tail_masses(power: np.ndarray, K: int) -> tuple:
     spectrum, with modes power = 0..kK, outside the block -K..K and in
     all.  Each is summed directly over its modes, so the tail monitor is
     free of cancellation noise."""
-    tail = power[K + 1:]
-    discarded = 2.0 * np.vdot(tail, tail).real
-    total = (power[0].real ** 2 + 2.0 * np.vdot(power[1:K + 1], power[1:K + 1]).real
-             + discarded)
+    discarded = 2.0 * _sum_squares(power[K + 1:])
+    total = power[0].real ** 2 + 2.0 * _sum_squares(power[1:K + 1]) + discarded
     return float(discarded), float(total)
+
+
+def _sum_squares(x: np.ndarray) -> float:
+    """sum |x|^2 over the float view, by einsum's own loop: no BLAS, whose
+    second thread a call such as np.vdot wakes and leaves spinning through
+    the run, and no temporary the size of x."""
+    v = x.view(np.float64)
+    return float(np.einsum("i,i->", v, v))
 
 
 def rk4_solve(pair: InitialPair, horizon: float, dt: float,
@@ -245,7 +251,7 @@ def _scaled_l2(x: np.ndarray) -> float:
     scale = float(np.max(np.abs(x)))
     if scale == 0.0 or not math.isfinite(scale):
         return scale
-    return scale * float(np.linalg.norm(x / scale))
+    return scale * math.sqrt(_sum_squares(x / scale))
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,18 @@ class SeriesAccumulator:
     partial: Trajectory    # running sum of the term trajectories
     ledger: list = field(default_factory=list)  # per-j sup-in-time l1 norms
 
+    @property
+    def resolved_degrees(self) -> list:
+        """Per generation, the resolved Chebyshev degree of the term."""
+        return [t.trajectory.resolved_degree for t in self.terms]
+
+    @property
+    def unresolved(self) -> list:
+        """The generations whose term found no rounding plateau below its
+        node degree: their time dependence may not be resolved."""
+        return [t.generation for t in self.terms
+                if t.trajectory.resolved_degree == t.trajectory.degree]
+
     def ratios(self) -> list:
         """Successive ledger ratios; the contraction diagnostic."""
         out = []

@@ -51,6 +51,7 @@ def test_chebyshev_nodes_span():
     assert nodes[0] == 0.0
     assert nodes[-1] == pytest.approx(0.7)
     assert np.all(np.diff(nodes) > 0)
+    assert chebyshev_nodes(0, 0.7).tolist() == [0.0]  # the grid of a constant
 
 
 def test_barycentric_reproduces_closed_form(lattice):
@@ -230,6 +231,61 @@ def test_trajectory_json(lattice):
     assert doc["horizon"] == 0.5
     assert len(doc["nodes"]) == 7
     assert len(doc["fields"]) == 7
+
+
+# ----------------------------------------------------------------------
+# resolved Chebyshev degree
+# ----------------------------------------------------------------------
+
+def polynomial_trajectory(lattice, coeffs, horizon=0.7):
+    """Node values of the Chebyshev series sum_n coeffs[n] T_n(2t/horizon - 1),
+    one column of coeffs per mode."""
+    nodes = chebyshev_nodes(16, horizon)
+    theta = np.arccos(2.0 * nodes / horizon - 1.0)
+    values = np.cos(np.outer(theta, np.arange(coeffs.shape[0]))) @ coeffs
+    return Trajectory(lattice, horizon, nodes, np.arange(coeffs.shape[1]), values)
+
+
+@pytest.mark.parametrize("d", range(17))
+def test_polynomial_resolves_to_its_degree(lattice, d):
+    rng = np.random.default_rng(d)
+    coeffs = rng.standard_normal((d + 1, 8)) + 1j * rng.standard_normal((d + 1, 8))
+    coeffs[d] *= 0.01 / np.max(np.abs(coeffs[d]))  # a small top coefficient counts
+    coeffs[:, 5] *= 1e-9  # as does a small mode, at the trajectory's scale
+    assert polynomial_trajectory(lattice, coeffs).resolved_degree == d
+
+
+def test_zero_trajectory_resolves_to_degree_zero(lattice):
+    assert polynomial_trajectory(lattice, np.zeros((1, 3), complex)).resolved_degree == 0
+    constant = constant_trajectory(lattice, SpectralField.delta(lattice, 2, 1.0), 0.5)
+    assert constant.resolved_degree == 0
+
+
+def test_unresolved_time_dependence_keeps_the_node_degree(lattice):
+    nodes = chebyshev_nodes(16, 1.0)
+    values = np.cos(50.0 * nodes)[:, None] * np.array([1.0, 0.5j])
+    traj = Trajectory(lattice, 1.0, nodes, np.array([-1, 1]), values)
+    assert traj.resolved_degree == 16
+
+
+@pytest.mark.parametrize("layout", ["grid", "box"])
+def test_sum_at_the_resolved_degree_matches_the_full_degree(monkeypatch, layout):
+    lattice = FrequencyLattice(period=1.0, cutoff=1 << 20)
+    lin = two_cluster_trajectory(lattice, degree=16)
+    term = duhamel_trajectory([lin, lin])
+    for groups in ([(2, [term, lin]), (1, [lin, lin])],
+                   [(3, [term, lin, lin]), (1, [lin, lin, lin])]):
+        k = len(groups[0][1])
+        assert max(sum(a.resolved_degree for a in args) for _, args in groups) < 16 * k
+        out = []
+        for full in (False, True):
+            monkeypatch.setattr(*FOLDS[layout])
+            if full:
+                monkeypatch.setattr(Trajectory, "resolved_degree", property(lambda a: a.degree))
+            out.append(duhamel_sum(groups))
+            monkeypatch.undo()
+        resolved, reference = out
+        assert resolved.sup_distance(reference) <= 1e-14 * reference.sup_l1()
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +470,8 @@ def test_fold_cap_bounds_transforms_and_product(monkeypatch):
 
 def test_fold_cap_bounds_the_union_of_a_sum(monkeypatch):
     # two groups whose products have disjoint supports of 101 modes each:
-    # the sum on the degree-24 grid holds 25 x 202 cells, twice a part
+    # the sum on the grid of degree D (twice the larger resolved degree)
+    # holds (D + 1) x 202 cells, twice a part
     lattice = FrequencyLattice(period=1.0, cutoff=1 << 20)
     rng = np.random.default_rng(7)
     trajs = []
@@ -423,7 +480,7 @@ def test_fold_cap_bounds_the_union_of_a_sum(monkeypatch):
         field = SpectralField(lattice, np.arange(lo, lo + 51), c)
         trajs.append(linear_flow(InitialPair(field, field.scale(0.5)), 0.7, 12))
     groups = [(2, [trajs[0], trajs[0]]), (1, [trajs[1], trajs[1]])]
-    times, cells = 25, 202
+    times, cells = 2 * max(t.resolved_degree for t in trajs) + 1, 202
     reference = duhamel_trajectory(groups[0][1]).scale(2.0) + duhamel_trajectory(groups[1][1])
     monkeypatch.setattr(*FOLDS["box"])
     monkeypatch.setattr(lattice_module, "_FOLD_CAP", times * cells)
@@ -448,23 +505,27 @@ def test_fold_cap_bounds_the_union_of_a_sum(monkeypatch):
 
 
 def test_batched_integral_matches_single_times(monkeypatch):
-    # k = 3: the degree-36 product grid has 37 rows, so the kernel pass
-    # takes two output nodes of 13 quadrature rows each per batch
+    # k = 3: the product grid of degree three times the resolved degree
+    # holds at least 26 rows, so the kernel pass takes batches of two or
+    # more output nodes of 13 quadrature rows each
     lattice = FrequencyLattice(period=1.0, cutoff=1 << 20)
     traj = two_cluster_trajectory(lattice)
+    grid_rows = 3 * traj.resolved_degree + 1
+    batch = grid_rows // 13
+    assert batch >= 2 and grid_rows != traj.nodes.size
     rows = []
     interpolate = flow._interpolate
 
     def spy(coeffs, values):
-        if values.shape[0] == 37:  # from the product grid, not a trajectory
+        if values.shape[0] == grid_rows:  # from the product grid, not a trajectory
             rows.append(coeffs.shape[0])
         return interpolate(coeffs, values)
 
     monkeypatch.setattr(flow, "_interpolate", spy)
     args = [traj, traj, traj]
     out = duhamel_trajectory(args, quad_degree=12)
-    # nodes 1..12 in six batches; node 0, at t = 0, is zero
-    assert rows == [26] * 6
+    # nodes 1..12 in batches; node 0, at t = 0, is zero
+    assert rows == [13 * min(batch, 12 - lo) for lo in range(0, 12, batch)]
     scale = np.max(np.abs(out.values))
     for i, t in enumerate(out.nodes):
         ref = duhamel(args, float(t), quad_degree=12)
@@ -590,8 +651,9 @@ def test_transform_batches_stay_within_quadrature_size(monkeypatch, layout, quad
     for args in ([traj, traj], [traj, traj, traj]):
         batches.clear()
         duhamel_trajectory(args, quad_degree=quad_degree)
-        # every node of the degree-D product grid is transformed once
-        assert sum(batches) == 16 * len(args) + 1
+        # every node of the product grid, of degree the sum of the
+        # arguments' resolved degrees, is transformed once
+        assert sum(batches) == traj.resolved_degree * len(args) + 1
         assert max(batches) <= quad_degree + 1
 
 

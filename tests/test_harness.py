@@ -163,6 +163,18 @@ def test_report_serializes(report):
     assert back["solution_norms"] is None
 
 
+def test_report_keeps_resolved_degrees_out_of_the_default_dict(report):
+    # the default document is the deterministic artifact: its keys do not
+    # change; the runtime record adds the series' resolved degrees
+    runtime = report.as_dict(include_runtime=True)
+    assert set(runtime) - set(report.as_dict()) == {
+        "runtime_seconds", "series_resolved_degrees", "series_unresolved"}
+    degrees = runtime["series_resolved_degrees"]
+    assert len(degrees) == 3 and all(0 < d <= 16 for d in degrees)
+    assert runtime["series_unresolved"] == [j for j, d in enumerate(degrees) if d == 16]
+    json.dumps(runtime)
+
+
 def test_series_method_refuses_divergent(params):
     with pytest.raises(SeriesDivergenceError):
         run_inflation(params, max_gen=2, method="series")

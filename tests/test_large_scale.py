@@ -54,6 +54,15 @@ def test_high_frequencies_fully_suppressed(big_report):
     assert rep.i2_over_i1 < 1e-8
 
 
+def test_series_terms_resolve_below_the_node_degree(big_report):
+    # every generation's Duhamel product folds on fewer than the k*p + 1
+    # times of the full node degree
+    _, rep = big_report
+    degrees = rep.series_resolved_degrees
+    assert len(degrees) == 5 and max(degrees) < 16
+    assert rep.series_unresolved == []
+
+
 def test_partial_sum_satisfies_duhamel_equation():
     params = schedule_from_N(BIG_N, K, S, delta_hint=DELTA)
     bump = make_bump(params, params.lattice())

@@ -159,6 +159,20 @@ def test_support_growth_matches_degree(lattice, pair):
         assert reach <= (j + 1) * base
 
 
+def test_accumulator_records_resolved_degrees(lattice, pair):
+    acc = partial_sum(pair, 2, 2, HORIZON, DEGREE)
+    assert acc.resolved_degrees == [t.trajectory.resolved_degree for t in acc.terms]
+    assert all(d < DEGREE for d in acc.resolved_degrees) and acc.unresolved == []
+
+
+def test_accumulator_flags_a_term_without_a_plateau(lattice):
+    # over a horizon of 60 the flow's rates near 1 turn about ten times:
+    # degree-14 nodes resolve none of it
+    field = SpectralField.from_pairs(lattice, [(-20, 1.0), (20, 1.0)])
+    acc = partial_sum(InitialPair(field, SpectralField.zero(lattice)), 2, 0, 60.0, DEGREE)
+    assert acc.resolved_degrees == [DEGREE] and acc.unresolved == [0]
+
+
 def test_tail_residual_zero_data(lattice):
     zero = InitialPair.zero(lattice)
     acc = partial_sum(zero, 2, 2, HORIZON, DEGREE)
