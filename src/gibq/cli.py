@@ -18,10 +18,10 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .construction import make_bump, sample_base_data, schedule, schedule_from_N
+from .construction import initial_data, make_bump, schedule
 from .errors import ConfigError, GibqError
 from .flow import InitialPair
-from .harness import SCHEMA_VERSION, sweep, validate_config
+from .harness import SCHEMA_VERSION, _fmt, check_keys, point_params, sweep, validate_config
 from .lattice import FrequencyLattice, SpectralField
 from .norms import NormSpec, check_algebra, check_embeddings, norm
 from .oracle import (
@@ -87,45 +87,22 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
-def _solve_setup(config: dict):
-    keys = set(config)
-    allowed = {"k", "s", "sigma", "delta", "n", "N", "seed",
+_SOLVE_KEYS = {"k", "s", "sigma", "delta", "n", "N", "seed",
                "base_amplitude", "base_decay", "bump", "p"}
-    unknown = keys - allowed
-    if unknown:
-        raise ConfigError(f"unknown solve config keys: {sorted(unknown)}")
-    for req in ("k", "s"):
-        if req not in config:
-            raise ConfigError(f"solve config requires key {req!r}")
-    if ("n" in config) == ("N" in config):
-        raise ConfigError("solve config requires exactly one of n or N")
-    if "n" in config:
-        params = schedule(int(config["n"]), int(config["k"]),
-                          float(config["s"]), sigma=config.get("sigma"),
-                          delta_hint=config.get("delta"))
-    else:
-        params = schedule_from_N(int(config["N"]), int(config["k"]),
-                                 float(config["s"]), sigma=config.get("sigma"),
-                                 delta_hint=config.get("delta"))
-    lattice = params.lattice()
-    amp = float(config.get("base_amplitude", 0.0))
-    if amp > 0:
-        base = sample_base_data(int(config.get("seed", 0)),
-                                float(config.get("base_decay", 0.25)),
-                                amp, lattice)
-    else:
-        base = InitialPair.zero(lattice)
-    if config.get("bump", True):
-        bump = make_bump(params, lattice)
-        data = InitialPair(base.u0 + bump.phi.u0, base.u1 + bump.phi.u1)
-    else:
-        data = base
-    return params, data, int(config.get("p", 16))
 
 
 def _cmd_solve(args) -> int:
     config = _load_config(args.config)
-    params, data, degree = _solve_setup(config)
+    check_keys(config, _SOLVE_KEYS, {"k", "s"}, ("n", "N"))
+    kind = "n" if "n" in config else "N"
+    params = point_params(config, kind, config[kind])
+    lattice = params.lattice()
+    base, _, data = initial_data(params, lattice, int(config.get("seed", 0)),
+                                 float(config.get("base_amplitude", 0.0)),
+                                 float(config.get("base_decay", 0.25)))
+    if not config.get("bump", True):
+        data = InitialPair.zero(lattice) if base is None else base
+    degree = int(config.get("p", 16))
     if args.method == "series":
         acc = partial_sum(data, params.k, args.max_gen, params.T, degree)
         ledger = acc.ledger
@@ -202,8 +179,8 @@ def _cmd_oracle(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     params = schedule(args.n, args.k, args.s, delta_hint=args.delta)
+    bump = make_bump(params)
     if args.mode == "xi1":
-        bump = make_bump(params)
         f = xi1_closed_form(bump, params.T)
         lines = ["xi,re,im"]
         for x, c in zip(f.xi, f.c):
@@ -211,8 +188,6 @@ def _cmd_oracle(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     if args.mode == "rk4":
-        lattice = params.lattice()
-        bump = make_bump(params, lattice)
         closure = closure_from_depth(bump.phi, params.k, depth=args.depth)
         traj, diag = rk4_solve(bump.phi, params.T, params.T / args.steps,
                                closure, k=params.k, tail_tol=args.tail_tol)
@@ -254,15 +229,9 @@ def _cmd_verify_all(args) -> int:
     results = verify_all(quick=args.quick)
     lines = ["check,value,pass"]
     for name, value, ok in results:
-        lines.append(f"{name},{_fmt_value(value)},{str(ok).lower()}")
+        lines.append(f"{name},{_fmt(value)},{str(ok).lower()}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if all(ok for _, _, ok in results) else 1
-
-
-def _fmt_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 # ----------------------------------------------------------------------

@@ -95,7 +95,6 @@ def _checked_exponents(s: float, k: int, sigma: float | None,
 
 def schedule(n: int, k: int, s: float, sigma: float | None = None,
              delta_hint: float | None = None,
-             force_pow2: bool = False,
              separation_floor: int = 64) -> InflationParams:
     """Derive the full parameter set for inflation index n.
 
@@ -108,9 +107,6 @@ def schedule(n: int, k: int, s: float, sigma: float | None = None,
         raise ValueError("inflation index n must be >= 1")
     adjustments = []
     N = math.ceil(float(n) ** (2.0 / delta))
-    if force_pow2 and N != _next_pow2(N):
-        N = _next_pow2(N)
-        adjustments.append(f"N rounded up to power of two {N}")
     if separation_floor > 0 and N < separation_floor * DEFAULT_A:
         N = _next_pow2(separation_floor * DEFAULT_A)
         adjustments.append(
@@ -207,3 +203,15 @@ def perturbed_data(base: InitialPair, bump: BumpData) -> InitialPair:
     if base.lattice != bump.phi.lattice:
         raise LatticeMismatchError("base data and bump on different lattices")
     return InitialPair(base.u0 + bump.phi.u0, base.u1 + bump.phi.u1)
+
+
+def initial_data(params: InflationParams, lattice: FrequencyLattice,
+                 seed: int | None = None, amplitude: float = 0.0,
+                 decay: float = 0.25) -> tuple:
+    """(base, bump, data = base + bump) at one scheduled point; the base
+    is sampled only for a seed and amplitude > 0, else it is None."""
+    bump = make_bump(params, lattice)
+    if seed is None or amplitude <= 0:
+        return None, bump, bump.phi
+    base = sample_base_data(seed, decay, amplitude, lattice)
+    return base, bump, perturbed_data(base, bump)

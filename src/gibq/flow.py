@@ -41,6 +41,7 @@ from .lattice import (
     PRUNE_REL,
     FrequencyLattice,
     SpectralField,
+    check_fold_cap,
     check_json_doc,
     fold_product,
     lambda_symbol,
@@ -424,8 +425,10 @@ def _integrate(lattice, xi, times, product, interp, quad_degree, prune):
     interp[i] maps the rows of product to the quadrature nodes of
     times[i].  The times go in batches whose quadrature rows together fit
     in the rows of product, or one at a time, so no array outgrows the
-    larger of the product and the quadrature rows of one time.
+    larger of the product and the quadrature rows of one time; CapacityError
+    is raised, before any allocation, when those rows exceed _FOLD_CAP cells.
     """
+    check_fold_cap(max(times.size, quad_degree + 1) * xi.size, "the kernel pass")
     out = np.zeros((times.size, xi.size), dtype=np.complex128)
     # the kernel depends on xi through lam alone, which is even in xi and
     # 1.0 in float64 beyond |omega| ~ 1e8: one sine per distinct lam

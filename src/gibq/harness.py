@@ -28,9 +28,7 @@ from .construction import (
     CUBE_CENTERS,
     BumpData,
     InflationParams,
-    make_bump,
-    perturbed_data,
-    sample_base_data,
+    initial_data,
     schedule,
     schedule_from_N,
 )
@@ -213,10 +211,14 @@ def family_label(spec_dict: dict) -> str:
     return f"{fam}_q{qtxt}"
 
 
-def _family_spec(spec_dict: dict, s: float) -> NormSpec:
-    q = spec_dict.get("q", math.inf)
-    q = math.inf if q in (None, "inf") else float(q)
-    return NormSpec(spec_dict["family"], s=s, q=q)
+def _family_norms(obj, families: list, s: float) -> dict:
+    """Norm of obj in each requested family at regularity s, by label."""
+    out = {}
+    for spec_dict in families:
+        q = spec_dict.get("q", math.inf)
+        q = math.inf if q in (None, "inf") else float(q)
+        out[family_label(spec_dict)] = norm(obj, NormSpec(spec_dict["family"], s=s, q=q))
+    return out
 
 
 # InflationReport fields of the runtime record, out of the default as_dict
@@ -281,28 +283,22 @@ def run_inflation(params: InflationParams,
         raise ValueError("max_gen must be >= 2")
     lattice = params.lattice(max_gen=max(max_gen, 8),
                              ode_depth=max(20, rk4_depth + 2))
-    bump = make_bump(params, lattice)
-    if base_seed is not None and base_amplitude > 0:
-        base = sample_base_data(base_seed, base_decay, base_amplitude, lattice)
-    else:
-        base = InitialPair.zero(lattice)
-    data = perturbed_data(base, bump)
+    base, bump, data = initial_data(params, lattice, base_seed,
+                                    base_amplitude, base_decay)
 
     hs_pair = NormSpec("sobolev_pair", params.s)
     hs = NormSpec("sobolev", params.s)
     hsig = NormSpec("sobolev", params.sigma)
     h0_pair = NormSpec("sobolev_pair", 0.0)
 
-    ledger = check_conditions(params, base if base_amplitude > 0 else None)
+    ledger = check_conditions(params, base)
 
     # perturbation norms (the bump is the perturbation)
     perturbation = {
         "sobolev_pair": norm(bump.phi, hs_pair),
         "w_s2inf_pair": norm(bump.phi, NormSpec("w_s2inf", params.s)),
     }
-    for fdict in families:
-        spec = _family_spec(fdict, params.s)
-        perturbation[family_label(fdict)] = norm(bump.phi, spec)
+    perturbation.update(_family_norms(bump.phi, families, params.s))
 
     # series terms of the full data
     acc = partial_sum(data, params.k, max_gen, params.T, degree)
@@ -311,8 +307,7 @@ def run_inflation(params: InflationParams,
     xi_rows = []
     for j, f in enumerate(term_fields):
         row = {"j": j, "sobolev": norm(f, hs), "fl1_sup": acc.ledger[j]}
-        for fdict in families:
-            row[family_label(fdict)] = norm(f, _family_spec(fdict, params.s))
+        row.update(_family_norms(f, families, params.s))
         xi_rows.append(row)
     tail_sum_hs = float(sum(row["sobolev"] for row in xi_rows if row["j"] >= 2))
 
@@ -323,9 +318,7 @@ def run_inflation(params: InflationParams,
         "sobolev": norm(xi1_bump_field, hs),
         "sobolev_sigma": norm(xi1_bump_field, hsig),
     }
-    for fdict in families:
-        xi1_bump[family_label(fdict)] = norm(
-            xi1_bump_field, _family_spec(fdict, params.s))
+    xi1_bump.update(_family_norms(xi1_bump_field, families, params.s))
 
     # resonant split (closed-form path) and its reconstruction error
     split = resonant_split(bump, params.T)
@@ -344,14 +337,14 @@ def run_inflation(params: InflationParams,
     lines = [LemmaLine("perturbation vs R N^s A^(1/2)",
                        perturbation["sobolev_pair"],
                        params.R * params.N**params.s * math.sqrt(params.A))]
-    base_hs = norm(base, hs_pair) if base_amplitude > 0 else 0.0
-    base_h0 = norm(base, h0_pair) if base_amplitude > 0 else 0.0
+    base_hs = norm(base, hs_pair) if base is not None else 0.0
+    base_h0 = norm(base, h0_pair) if base is not None else 0.0
     lines.append(LemmaLine(
         "linear term vs base + R A^(1/2) N^s",
         xi_rows[0]["sobolev"],
         base_hs + params.R * math.sqrt(params.A) * params.N**params.s,
     ))
-    if base_amplitude > 0:
+    if base is not None:
         # difference of first terms: all argument tuples with >= 1 base slot
         flow_base = linear_flow(base, params.T, degree)
         diff_field = _mixed_first_term(flow_base, flow_bump, params.k,
@@ -406,9 +399,7 @@ def run_inflation(params: InflationParams,
                           "sobolev_sigma": norm(solution_field, hsig)}
         if method == "rk4":
             solution_norms["max_tail_fraction"] = diag.max_tail_fraction
-        for fdict in families:
-            solution_norms[family_label(fdict)] = norm(
-                solution_field, _family_spec(fdict, params.s))
+        solution_norms.update(_family_norms(solution_field, families, params.s))
 
     return InflationReport(
         schema_version=SCHEMA_VERSION,
@@ -456,29 +447,41 @@ _CONFIG_KEYS = {
 _REQUIRED_KEYS = {"k", "s", "families", "seed", "J", "p", "method"}
 
 
-def validate_config(config: dict) -> dict:
-    """Schema-check an inflation sweep configuration."""
+def check_keys(config, known: set, required: set, index_keys: tuple):
+    """ConfigError unless config is an object of known keys with all the
+    required ones, exactly one of the two index_keys and s < 0."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(config) - _CONFIG_KEYS
+    unknown = set(config) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(config)
+    missing = required - set(config)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    has_n = "n_list" in config
-    has_N = "N_list" in config
-    if has_n == has_N:
-        raise ConfigError("exactly one of n_list or N_list is required")
+    if sum(key in config for key in index_keys) != 1:
+        raise ConfigError(f"exactly one of {index_keys[0]} or {index_keys[1]} is required")
+    if float(config["s"]) >= 0:
+        raise ConfigError("s must be negative")
+
+
+def validate_config(config: dict) -> dict:
+    """Schema-check an inflation sweep configuration."""
+    check_keys(config, _CONFIG_KEYS, _REQUIRED_KEYS, ("n_list", "N_list"))
     if config["method"] not in ("series", "fixed-point", "rk4", "none"):
         raise ConfigError(f"unknown method {config['method']!r}")
     if not isinstance(config["families"], list) or not all(
         isinstance(f, dict) and "family" in f for f in config["families"]
     ):
         raise ConfigError("families must be a list of {family, q} objects")
-    if float(config["s"]) >= 0:
-        raise ConfigError("s must be negative")
     return config
+
+
+def point_params(config: dict, kind: str, value) -> InflationParams:
+    """Parameters of one point of a checked config: schedule for kind "n",
+    schedule_from_N for "N", at the config's k, s, sigma and delta."""
+    scheduler = schedule if kind == "n" else schedule_from_N
+    return scheduler(int(value), int(config["k"]), float(config["s"]),
+                     sigma=config.get("sigma"), delta_hint=config.get("delta"))
 
 
 def config_hash(config: dict) -> str:
@@ -522,76 +525,53 @@ def sweep(config: dict, threads: int = 0):
     for lab in labels:
         columns += [f"pert_{lab}", f"xi1_{lab}", f"solution_{lab}"]
 
-    def one_run(value):
-        if kind == "n":
-            params = schedule(int(value), int(config["k"]),
-                              float(config["s"]),
-                              sigma=config.get("sigma"),
-                              delta_hint=config.get("delta"))
-        else:
-            params = schedule_from_N(int(value), int(config["k"]),
-                                     float(config["s"]),
-                                     sigma=config.get("sigma"),
-                                     delta_hint=config.get("delta"))
-        return run_inflation(
-            params,
-            base_seed=int(config["seed"]),
-            base_amplitude=float(config.get("base_amplitude", 0.0)),
-            base_decay=float(config.get("base_decay", 0.25)),
-            families=families,
-            max_gen=int(config["J"]),
-            degree=int(config["p"]),
-            method=config["method"],
-            rk4_depth=int(config.get("rk4_depth", 18)),
-            rk4_steps=int(config.get("rk4_steps", 400)),
-            rk4_tail_tol=float(config.get("rk4_tail_tol", 1e-10)),
-        )
-
     # A package error or a bad point (schedule_from_N raises ValueError)
     # becomes an error row; any other exception is a bug and propagates.
-    outcomes = []
+    def one_run(value):
+        try:
+            return run_inflation(
+                point_params(config, kind, value),
+                base_seed=int(config["seed"]),
+                base_amplitude=float(config.get("base_amplitude", 0.0)),
+                base_decay=float(config.get("base_decay", 0.25)),
+                families=families,
+                max_gen=int(config["J"]),
+                degree=int(config["p"]),
+                method=config["method"],
+                rk4_depth=int(config.get("rk4_depth", 18)),
+                rk4_steps=int(config.get("rk4_steps", 400)),
+                rk4_tail_tol=float(config.get("rk4_tail_tol", 1e-10)),
+            ), None
+        except (GibqError, ValueError) as exc:
+            return None, exc
+
     if threads and threads > 1 and len(indices) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(one_run, value) for value in indices]
-            for future in futures:
-                try:
-                    outcomes.append((future.result(), None))
-                except (GibqError, ValueError) as exc:
-                    outcomes.append((None, exc))
+            outcomes = list(pool.map(one_run, indices))
     else:
-        for value in indices:
-            try:
-                outcomes.append((one_run(value), None))
-            except (GibqError, ValueError) as exc:
-                outcomes.append((None, exc))
+        outcomes = [one_run(value) for value in indices]
 
-    reports = []
-    rows = []
+    lines = [",".join(columns)]
     for value, (report, exc) in zip(indices, outcomes):
         row = {c: None for c in columns}
         row["index_kind"] = kind
         row["index"] = value
-        reports.append(report)
         if report is not None:
             _fill_row(row, report, labels)
         else:
             row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-
-    lines = [",".join(columns)]
-    for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))
     csv_text = "\n".join(lines) + "\n"
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": config,
         "config_hash": config_hash(config),
-        "rows": len(rows),
+        "rows": len(outcomes),
         "columns": columns,
     }
-    return reports, csv_text, manifest
+    return [report for report, _ in outcomes], csv_text, manifest
 
 
 def _fill_row(row: dict, report: InflationReport, labels: list):

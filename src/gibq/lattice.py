@@ -162,19 +162,13 @@ class SpectralField:
 
     @classmethod
     def from_pairs(cls, lattice: FrequencyLattice, pairs) -> "SpectralField":
-        """Build from an iterable/dict of (xi, amplitude), merging duplicates."""
+        """Build from an iterable/dict of (xi, amplitude), summing duplicates."""
         if isinstance(pairs, dict):
             pairs = pairs.items()
-        items = sorted(pairs)
-        if not items:
-            return cls.zero(lattice)
+        items = list(pairs)
         xi = np.array([p[0] for p in items], dtype=np.int64)
         c = np.array([p[1] for p in items], dtype=np.complex128)
-        uniq, inv = np.unique(xi, return_inverse=True)
-        merged = np.zeros(uniq.size, dtype=np.complex128)
-        np.add.at(merged, inv, c)
-        keep = merged != 0
-        return cls(lattice, uniq[keep], merged[keep])
+        return cls(lattice, *merge_terms(xi, c))
 
     @classmethod
     def delta(cls, lattice: FrequencyLattice, xi: int, amplitude=1.0) -> "SpectralField":
@@ -228,13 +222,8 @@ class SpectralField:
             return other
         if other.nnz == 0:
             return self
-        xi = np.concatenate([self.xi, other.xi])
-        c = np.concatenate([self.c, other.c])
-        uniq, inv = np.unique(xi, return_inverse=True)
-        merged = np.zeros(uniq.size, dtype=np.complex128)
-        np.add.at(merged, inv, c)
-        keep = merged != 0
-        return SpectralField(self.lattice, uniq[keep], merged[keep])
+        return SpectralField(self.lattice, *merge_terms(
+            np.concatenate([self.xi, other.xi]), np.concatenate([self.c, other.c])))
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         return self + other.scale(-1.0)
@@ -285,6 +274,16 @@ class SpectralField:
         if np.all(np.diff(xi) > 0):
             return cls(lattice, xi, np.array([v for _, v in pairs], dtype=np.complex128))
         return cls.from_pairs(lattice, pairs)
+
+
+def merge_terms(xi: np.ndarray, c: np.ndarray) -> tuple:
+    """Sorted distinct frequencies of the terms c[i] at xi[i] and their sums
+    (in the order given), without the zero sums."""
+    uniq, inv = np.unique(xi, return_inverse=True)
+    merged = np.zeros(uniq.size, dtype=c.dtype)
+    np.add.at(merged, inv, c)
+    keep = merged != 0
+    return uniq[keep], merged[keep]
 
 
 def check_json_doc(doc: dict, keys, what: str):
@@ -394,8 +393,7 @@ def sum_on_union(parts):
         return parts[0]
     xi = np.unique(np.concatenate([sup for sup, _ in parts]))
     n_times = parts[0][1].shape[0]
-    if n_times * xi.size > _FOLD_CAP:
-        raise CapacityError(f"the sum at {n_times} times holds more than {_FOLD_CAP} cells")
+    check_fold_cap(n_times * xi.size, f"the sum at {n_times} times")
     out = next((values for sup, values in parts if sup.size == xi.size), None)
     if out is None:
         out = np.zeros((n_times, xi.size), dtype=np.complex128)
@@ -407,6 +405,12 @@ def sum_on_union(parts):
         else:
             out[:, np.searchsorted(xi, sup)] += values
     return xi, out
+
+
+def check_fold_cap(cells: int, what: str):
+    """Raise CapacityError, naming what, when cells exceed _FOLD_CAP."""
+    if cells > _FOLD_CAP:
+        raise CapacityError(f"{what} holds more than {_FOLD_CAP} cells")
 
 
 def _fold_layout(sups):
@@ -504,8 +508,7 @@ def _product_grid(rows, layout, batch, prune):
     n_times = rows[0][1].shape[0]
     width = base if base and n_cols > base else n_cols
     folds = -(-n_cols // width)
-    if n_times * (n_rows + folds - 1) * width > _FOLD_CAP:
-        raise CapacityError(f"the product at {n_times} times holds more than {_FOLD_CAP} cells")
+    check_fold_cap(n_times * (n_rows + folds - 1) * width, f"the product at {n_times} times")
     batch = max(1, min(batch, _FOLD_CAP // (_fft_length(n_rows) * _fft_length(n_cols))))
     product = np.zeros((n_times, n_rows + folds - 1, width), dtype=np.complex128)
     for times in np.array_split(np.arange(n_times), -(-n_times // batch)):
@@ -583,6 +586,19 @@ def _next_pow2(n: int) -> int:
 _SYNTHESIS_GRID_CAP = 1 << 25
 
 
+def synthesis_length(f: SpectralField, oversample: int) -> int:
+    """Power-of-two synthesis grid length for f, at least oversample*(2*max|xi|+1);
+    ValueError above the memory guard _SYNTHESIS_GRID_CAP."""
+    maxfreq = int(np.max(np.abs(f.xi))) if f.nnz else 0
+    m = _next_pow2(max(oversample * (2 * maxfreq + 1), 2 * maxfreq + 2, 4))
+    if m > _SYNTHESIS_GRID_CAP:
+        raise ValueError(
+            f"synthesis grid of {m} points exceeds the memory guard "
+            f"{_SYNTHESIS_GRID_CAP}; the support reaches |xi| = {maxfreq}"
+        )
+    return m
+
+
 def synthesize(f: SpectralField, oversample: int = 2) -> GridField:
     """Exact trigonometric synthesis at equispaced points.
 
@@ -594,13 +610,7 @@ def synthesize(f: SpectralField, oversample: int = 2) -> GridField:
     """
     if oversample < 2:
         raise ValueError("oversample must be >= 2")
-    maxfreq = int(np.max(np.abs(f.xi))) if f.nnz else 0
-    m = _next_pow2(max(oversample * (2 * maxfreq + 1), 2 * maxfreq + 2, 4))
-    if m > _SYNTHESIS_GRID_CAP:
-        raise ValueError(
-            f"synthesis grid of {m} points exceeds the memory guard "
-            f"{_SYNTHESIS_GRID_CAP}; the support reaches |xi| = {maxfreq}"
-        )
+    m = synthesis_length(f, oversample)
     spectrum = np.zeros(m, dtype=np.complex128)
     if f.nnz:
         spectrum[np.mod(f.xi, m)] = f.c

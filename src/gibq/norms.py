@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import InitialPair
-from .lattice import SpectralField, bracket, convolve, synthesize
+from .lattice import SpectralField, bracket, convolve, synthesis_length, synthesize
 
 FAMILIES = (
     "sobolev",
@@ -56,14 +56,6 @@ class NormSpec:
             raise ValueError(f"unknown norm family {self.family!r}")
         if self.q < 1:
             raise ValueError("q must be >= 1 (or inf)")
-
-    def label(self) -> str:
-        if self.family in ("sobolev", "sobolev_pair", "w_s2inf"):
-            return f"{self.family}(s={self.s:g})"
-        if self.family == "wiener_pair":
-            return "wiener_pair"
-        qtxt = "inf" if math.isinf(self.q) else f"{self.q:g}"
-        return f"{self.family}(s={self.s:g},q={qtxt})"
 
 
 def _lq(values: np.ndarray, weights, q: float) -> float:
@@ -187,12 +179,11 @@ def _amalgam_norm(f: SpectralField, spec: NormSpec, oversample: int) -> float:
 def _common_grid_samples(piece: SpectralField, full: SpectralField,
                          oversample: int) -> np.ndarray:
     """Band synthesis on a grid sized from the full field's support, so all
-    bands of one field share the same sample points.  The grid length is a
-    power of two, as in lattice.synthesize, not the shorter _fft_length of
-    the convolutions: it fixes the sample points behind the amalgam norms,
-    which a change of length would move by more than rounding."""
-    maxfreq = int(np.max(np.abs(full.xi)))
-    m = 1 << max(2, int(oversample * (2 * maxfreq + 1) - 1).bit_length())
+    bands of one field share the same sample points: lattice.synthesize's
+    power-of-two grid and memory guard, not the shorter _fft_length of the
+    convolutions, since the length fixes the sample points behind the
+    amalgam norms, which a change of length would move beyond rounding."""
+    m = synthesis_length(full, oversample)
     spectrum = np.zeros(m, dtype=np.complex128)
     spectrum[np.mod(piece.xi, m)] = piece.c
     return np.fft.ifft(spectrum) * m

@@ -30,7 +30,8 @@ import numpy as np
 from .construction import CUBE_CENTERS, BumpData
 from .errors import CapacityError, TruncationTailError
 from .flow import InitialPair, Trajectory, chebyshev_nodes, stable_sinc
-from .lattice import FrequencyLattice, SpectralField, _fft_length, convolve, lambda_symbol
+from .lattice import (FrequencyLattice, SpectralField, _fft_length, convolve,
+                      lambda_symbol, merge_terms)
 
 _TUPLE_BUDGET = 10**7
 _TAIL_TOL = 1e-10
@@ -324,11 +325,8 @@ def xi1_closed_form(bump: BumpData, horizon: float,
                                      minlength=r_vals.size))
     if not xi_parts:
         return SpectralField.zero(lattice)
-    uniq, inv = np.unique(np.concatenate(xi_parts), return_inverse=True)
-    sums = np.zeros(uniq.size)
-    np.add.at(sums, inv, np.concatenate(val_parts))
-    keep = sums != 0.0
-    return SpectralField(lattice, uniq[keep], sums[keep])
+    return SpectralField(lattice, *merge_terms(np.concatenate(xi_parts),
+                                               np.concatenate(val_parts)))
 
 
 # ----------------------------------------------------------------------

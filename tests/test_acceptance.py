@@ -14,8 +14,9 @@ recorded evidence shows why the clause is not asserted there: the series
 ledger diverges and the independent integrator blows up before the
 horizon at every point (the ODE u'' = u^2 started from the bump's peak
 4(A+1)R blows up within 5 % of the same times).  The README's "Known
-limits at desk scale" section and scripts/run_lifespan_probe.py carry the
-quantitative analysis.  The clause is therefore checked at N = 2^40, past
+limits at desk scale" section carries the quantitative analysis, read from
+the run reports of ``gibq inflate --config configs/desk_sweep.json
+--dump-reports``.  The clause is therefore checked at N = 2^40, past
 the contraction threshold the pinned sweep scales cannot reach, on the
 shared ``big_report`` fixture that tests/test_large_scale.py also uses.
 """

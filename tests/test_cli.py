@@ -116,6 +116,49 @@ def test_solve_rejects_unknown_key(tmp_path, capsys):
     assert run(["solve", "--config", str(cfg)]) == 2
 
 
+def test_solve_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    cfg = tmp_path / "solve.json"
+    cfg.write_text("3")
+    assert run(["solve", "--config", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_solve_rejects_nonnegative_s_as_inflate_does(tmp_path, capsys):
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps({"k": 2, "s": 0.5, "n": 1}))
+    assert run(["solve", "--config", str(cfg)]) == 2
+    assert "s must be negative" in capsys.readouterr().err
+
+
+class _Captured(Exception):
+    pass
+
+
+def _capture(data, *args, **kwargs):
+    raise _Captured(data)
+
+
+def test_solve_and_run_inflation_build_the_same_data(tmp_path, monkeypatch):
+    from gibq import cli, harness
+
+    config = {"k": 2, "s": -0.75, "delta": 0.25, "N": 256, "seed": 4,
+              "base_amplitude": 0.01, "base_decay": 0.3}
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.setattr(cli, "partial_sum", _capture)
+    monkeypatch.setattr(harness, "partial_sum", _capture)
+    with pytest.raises(_Captured) as solved:
+        run(["solve", "--config", str(cfg)])
+    with pytest.raises(_Captured) as inflated:
+        harness.run_inflation(harness.point_params(config, "N", 256), base_seed=4,
+                              base_amplitude=0.01, base_decay=0.3)
+    (a,), (b,) = solved.value.args, inflated.value.args
+    assert a.lattice == b.lattice
+    for f, g in ((a.u0, b.u0), (a.u1, b.u1)):
+        assert f.nnz > 44 and f.xi.tobytes() == g.xi.tobytes()
+        assert f.c.tobytes() == g.c.tobytes()
+
+
 def test_norms_field_value(tmp_path, lattice):
     from gibq.lattice import SpectralField
 
@@ -140,6 +183,16 @@ def test_norms_field_on_line_surrogate(tmp_path):
     assert run(["norms", "--field", str(path),
                 "--spec", "sobolev,0", "--out", str(out)]) == 0
     assert float(out.read_text()) == norm(f, NormSpec("sobolev", 0.0))
+
+
+def test_norms_field_with_a_repeated_frequency(tmp_path):
+    entries = [{"xi": 2, "re": 0.0, "im": 1.0}, {"xi": 2, "re": 0.0, "im": 2.0}]
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"period": 1.0, "entries": entries}))
+    out = tmp_path / "value.txt"
+    assert run(["norms", "--field", str(path),
+                "--spec", "sobolev,0", "--out", str(out)]) == 0
+    assert float(out.read_text()) == 3.0
 
 
 def test_norms_requires_arguments(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from gibq.construction import (
     delta_ceiling,
+    initial_data,
     make_bump,
     omega_frequencies,
     perturbed_data,
@@ -186,6 +187,21 @@ def test_perturbation_norm_equals_bump_norm():
     diff = InitialPair(pert.u0 - base.u0, pert.u1 - base.u1)
     spec = NormSpec("sobolev_pair", params.s)
     assert norm(diff, spec) == pytest.approx(norm(bump.phi, spec), rel=1e-12)
+
+
+def test_initial_data_samples_a_base_only_for_a_seed_and_amplitude():
+    params = schedule_from_N(256, 2, -0.75, delta_hint=0.25)
+    lat = params.lattice()
+    for seed, amplitude in ((None, 0.5), (3, 0.0)):
+        base, bump, data = initial_data(params, lat, seed, amplitude)
+        assert base is None and data is bump.phi
+    base, bump, data = initial_data(params, lat, 3, 0.5, decay=0.3)
+    expected = sample_base_data(3, 0.3, 0.5, lat)
+    assert base.u0.c.tobytes() == expected.u0.c.tobytes()
+    summed = perturbed_data(expected, bump)
+    for got, want in ((data.u0, summed.u0), (data.u1, summed.u1)):
+        assert got.xi.tobytes() == want.xi.tobytes()
+        assert got.c.tobytes() == want.c.tobytes()
 
 
 def test_perturbed_data_lattice_mismatch():

@@ -504,6 +504,23 @@ def test_fold_cap_bounds_the_union_of_a_sum(monkeypatch):
     assert shapes and all(math.prod(shape) < times * cells for shape in shapes)
 
 
+def test_fold_cap_bounds_the_kernel_pass(monkeypatch):
+    # a constant trajectory has resolved degree 0: its product is one row
+    # of 201 cells, while the kernel pass takes the 17 quadrature rows of
+    # each output node
+    lattice = FrequencyLattice(period=1.0, cutoff=1 << 20)
+    field = SpectralField(lattice, np.arange(-50, 51), np.full(101, 0.5 + 0.25j))
+    traj = constant_trajectory(lattice, field, 0.7)
+    assert traj.resolved_degree == 0
+    cells, rows = 201, 17
+    monkeypatch.setattr(lattice_module, "_FOLD_CAP", rows * cells)
+    # xi = 0, where the symbol vanishes, drops out of the integral
+    assert duhamel_trajectory([traj, traj]).support.size == cells - 1
+    monkeypatch.setattr(lattice_module, "_FOLD_CAP", rows * cells - 1)
+    with pytest.raises(CapacityError, match="kernel pass"):
+        duhamel_trajectory([traj, traj])
+
+
 def test_batched_integral_matches_single_times(monkeypatch):
     # k = 3: the product grid of degree three times the resolved degree
     # holds at least 26 rows, so the kernel pass takes batches of two or

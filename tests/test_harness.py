@@ -175,6 +175,16 @@ def test_report_keeps_resolved_degrees_out_of_the_default_dict(report):
     json.dumps(runtime)
 
 
+def test_amplitude_without_a_seed_samples_no_base(params):
+    # no base: no mixed first-term line, and the report of the bump alone
+    kwargs = dict(max_gen=2, degree=8, method="none")
+    alone = run_inflation(params, **kwargs).as_dict()
+    unseeded = run_inflation(params, base_amplitude=0.4, **kwargs).as_dict()
+    assert unseeded == alone
+    names = [line["name"] for line in unseeded["ledger"]["lemma_lines"]]
+    assert "mixed first-term remainder" not in names
+
+
 def test_series_method_refuses_divergent(params):
     with pytest.raises(SeriesDivergenceError):
         run_inflation(params, max_gen=2, method="series")

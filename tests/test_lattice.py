@@ -349,6 +349,15 @@ def test_json_rejects_unknown_keys_and_versions(lattice):
             SpectralField.from_json(json.dumps(doc))
 
 
+def test_repeated_frequencies_are_summed(lattice):
+    f = SpectralField.from_pairs(lattice, [(1, 1j), (-2, 1.0), (1, 2j), (4, 1.0), (4, -1.0)])
+    assert f.xi.tolist() == [-2, 1] and f.c.tolist() == [1.0, 3j]
+    entries = [{"xi": x, "re": c.real, "im": c.imag}
+               for x, c in ((1, 1j), (-2, 1.0), (1, 2j))]
+    g = SpectralField.from_json(json.dumps({"period": 1.0, "entries": entries}))
+    assert g.xi.tolist() == [-2, 1] and g.c.tolist() == [1.0, 3j]
+
+
 def test_json_sorted_by_xi(lattice):
     f = hermitian_field(lattice, seed=5, max_freq=6)
     import json

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gibq.construction import make_bump, schedule_from_N
 from gibq.flow import InitialPair
+from gibq import lattice as lattice_module
 from gibq.lattice import FrequencyLattice, SpectralField, bracket
 from gibq.norms import (
     NormSpec,
@@ -174,6 +175,19 @@ def test_amalgam_differs_from_modulation_on_line():
     m = norm(f, NormSpec("modulation", -0.5, 1.0))
     w = norm(f, NormSpec("wiener_amalgam", -0.5, 1.0))
     assert abs(m - w) > 1e-6 * m  # genuinely different families here
+
+
+def test_amalgam_grid_has_the_synthesis_memory_guard(monkeypatch):
+    # |xi| <= 20 at oversampling 8: the band syntheses take 2^9 points
+    lat = line_lattice(period=8.0)
+    f = hermitian_field(lat, 83, max_freq=20)
+    spec = NormSpec("wiener_amalgam", -0.5, 2.0)
+    value = norm(f, spec)
+    monkeypatch.setattr(lattice_module, "_SYNTHESIS_GRID_CAP", 1 << 9)
+    assert norm(f, spec) == value
+    monkeypatch.setattr(lattice_module, "_SYNTHESIS_GRID_CAP", (1 << 9) - 1)
+    with pytest.raises(ValueError, match="memory guard"):
+        norm(f, spec)
 
 
 def test_embedding_margins_hold(lattice):
