@@ -446,10 +446,19 @@ _CONFIG_KEYS = {
 
 _REQUIRED_KEYS = {"k", "s", "families", "seed", "J", "p", "method"}
 
+# The numeric keys of sweep and solve configs: integers (an integral float
+# such as JSON's 1e6 counts), lists of them, and real numbers, of which
+# sigma and delta may be null for their defaults.
+_INTEGER_KEYS = {"k", "seed", "J", "p", "n", "N", "rk4_depth", "rk4_steps"}
+_INTEGER_LIST_KEYS = {"n_list", "N_list"}
+_REAL_KEYS = {"s", "sigma", "delta", "base_amplitude", "base_decay",
+              "rk4_tail_tol"}
+
 
 def check_keys(config, known: set, required: set, index_keys: tuple):
     """ConfigError unless config is an object of known keys with all the
-    required ones, exactly one of the two index_keys and s < 0."""
+    required ones, exactly one of the two index_keys, numbers where
+    numbers are read and s < 0."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(config) - known
@@ -460,8 +469,25 @@ def check_keys(config, known: set, required: set, index_keys: tuple):
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     if sum(key in config for key in index_keys) != 1:
         raise ConfigError(f"exactly one of {index_keys[0]} or {index_keys[1]} is required")
-    if float(config["s"]) >= 0:
+    for key, value in config.items():
+        if key in _INTEGER_KEYS and not _is_integer(value):
+            raise ConfigError(f"{key} must be an integer, not {value!r}")
+        if key in _INTEGER_LIST_KEYS and not (
+                isinstance(value, list) and all(map(_is_integer, value))):
+            raise ConfigError(f"{key} must be a list of integers")
+        if key in _REAL_KEYS and not (_is_real(value) or (
+                value is None and key in ("sigma", "delta"))):
+            raise ConfigError(f"{key} must be a number, not {value!r}")
+    if not config["s"] < 0:
         raise ConfigError("s must be negative")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return _is_real(value) and (isinstance(value, int) or value.is_integer())
 
 
 def validate_config(config: dict) -> dict:
@@ -517,8 +543,8 @@ def sweep(config: dict, threads: int = 0):
     way, so the CSV bytes are independent of parallelism.
     """
     config = validate_config(config)
-    indices = config.get("n_list") or config.get("N_list")
     kind = "n" if "n_list" in config else "N"
+    indices = config[f"{kind}_list"]
     families = config["families"]
     labels = [family_label(f) for f in families]
     columns = list(CSV_COLUMNS)

@@ -9,7 +9,10 @@ Three oracles, all structurally independent of the Picard machinery:
                 pair.  Each step start takes the whole power, on
                 2kK + 1 samples, and monitors its tail outside the block;
                 the other three stages take only its alias-free modes
-                0..K, on (k + 1)K + 1 samples.
+                0..K, on (k + 1)K + 1 samples.  The four stages run as
+                two rounds of two independent forcings; on a large
+                block with two CPUs, each round's second forcing runs on
+                a worker thread, with bit-identical output.
 * xi1_closed_form -- the first Picard term of the bump evaluated without
                 quadrature, by expanding the cosine product into 2^(k-1)
                 cosines and integrating each against sin((T-t')lam)lam
@@ -20,8 +23,10 @@ Three oracles, all structurally independent of the Picard machinery:
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 
@@ -149,6 +154,13 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
     TruncationTailError.
     The first step that leaves u or v non-finite sets blowup_time; no
     later node is recorded.
+
+    For u'' = F(u) the stages form two rounds of two independent
+    forcings, F1 = F(u) with F2 = F(u + h/2 v), then F3 with F4, which
+    take the first round's results.  On a large block with a second CPU
+    free, each round's second forcing runs on a worker thread; every
+    array is computed by the same expressions in the same order either
+    way, so the output does not depend on it.
     """
     if dt <= 0 or dt > horizon / 100.0:
         raise ValueError("dt must be positive and at most horizon/100")
@@ -156,31 +168,32 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
         raise ValueError("rk4_solve needs real data: an exactly Hermitian pair")
     lattice = pair.lattice
     K = int(support_closure)
-    idx = np.arange(-K, K + 1)
+    for comp in (pair.u0, pair.u1):
+        if comp.nnz and int(np.max(np.abs(comp.xi))) > K:
+            raise ValueError("initial support exceeds the closure")
+    nodes = chebyshev_nodes(node_degree, horizon)
+    # one row per node; nodes at and after a blow-up stay zero
+    values = np.zeros((nodes.size, 2 * K + 1), dtype=np.complex128)
+    # u's modes 0..K are stepped in place at the head of a block that is
+    # zero up to the power's modes kK, so each step start passes it whole;
+    # v holds the modes 0..K of the velocity
+    padded = np.zeros(k * K + 1 if nonlinear else K + 1, dtype=np.complex128)
+    u = padded[: K + 1]
+    v = np.zeros(K + 1, dtype=np.complex128)
+    values[0][pair.u0.xi + K] = pair.u0.c
+    u[:] = values[0][K:]
+    ahead = pair.u1.xi >= 0
+    v[pair.u1.xi[ahead]] = pair.u1.c[ahead]
+
     lam = lambda_symbol(np.arange(K + 1), lattice)
-    lam2 = lam * lam
+    neg_lam2 = -(lam * lam)
     conv_weight = lattice.weight ** (k - 1)
-
-    u = np.zeros(2 * K + 1, dtype=np.complex128)
-    v = np.zeros(2 * K + 1, dtype=np.complex128)
-    for comp, dense in ((pair.u0, u), (pair.u1, v)):
-        if comp.nnz:
-            if int(np.max(np.abs(comp.xi))) > K:
-                raise ValueError("initial support exceeds the closure")
-            dense[comp.xi + K] = comp.c
-
     diag = OdeDiagnostics(closure=K)
 
-    # u's modes 0..K are stepped in place at the head of a block that is
-    # zero up to the power's modes kK, so each step start passes it whole
-    padded = np.zeros(k * K + 1 if nonlinear else K + 1, dtype=np.complex128)
-    u_half = padded[: K + 1]
-    u_half[:] = u[K:]
-
-    def rhs(state, monitored=False):
-        uu, vv = state
-        if nonlinear:  # called only inside the step loop's errstate block
-            if monitored:  # uu is u_half: the whole power from padded
+    def force(w, out, monitored=False):
+        """out = F(w) = -lam^2 (w - conv_weight (w^k)^)."""
+        if nonlinear:
+            if monitored:  # w is u, the head of padded: the whole power
                 power = _dense_conv_power(padded, k)
                 discarded, total = _tail_masses(power, K)
                 power = power[: K + 1]
@@ -188,57 +201,128 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
                     tail = math.sqrt(discarded / total)
                     diag.max_tail_fraction = max(diag.max_tail_fraction, tail)
             else:
-                power = _dense_conv_power(uu, k)
+                power = _dense_conv_power(w, k)
+            np.multiply(conv_weight, power, out=out)
             # Sign matches the Duhamel form u = S(t)u0 + I_k(u) that the
             # series solves; for even k this is the u -> -u image of the
             # opposite convention, so all norms coincide.
-            forcing = uu - conv_weight * power
-        else:
-            forcing = uu
-        return vv, -lam2 * forcing
+            w = np.subtract(w, out, out=out)
+        np.multiply(neg_lam2, w, out=out)
 
-    nodes = chebyshev_nodes(node_degree, horizon)
-    # one row per node; nodes at and after a blow-up stay zero
-    values = np.zeros((nodes.size, idx.size), dtype=np.complex128)
-    values[0] = u
-    state = (u_half, v[K:])
+    # Stage arguments and forcings, allocated once.  Round 1 writes F1 to
+    # f_here and F2 to f_there; round 2 writes F3 to f_there and F4 to
+    # f_part.  acc_u, and f_here from the end of round 1 on, hold the
+    # weighted sums k1 + 2 k2 + 2 k3 + k4 of the u and v increments,
+    # added left to right as the four-term expression adds them.
+    arg_here, arg_there, f_here, f_there, f_part, acc_u = (
+        np.empty(K + 1, dtype=np.complex128) for _ in range(6))
     t = 0.0
-    for i, target in enumerate(nodes[1:], 1):
-        seg = float(target) - t
-        steps = max(1, math.ceil(seg / dt))
-        h = seg / steps
-        with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(steps):
-                k1 = rhs(state, monitored=True)
-                k2 = rhs((state[0] + 0.5 * h * k1[0], state[1] + 0.5 * h * k1[1]))
-                k3 = rhs((state[0] + 0.5 * h * k2[0], state[1] + 0.5 * h * k2[1]))
-                k4 = rhs((state[0] + h * k3[0], state[1] + h * k3[1]))
-                u_half += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-                state = (
-                    u_half,
-                    state[1] + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-                )
-                if not (np.all(np.isfinite(state[0])) and np.all(np.isfinite(state[1]))):
-                    diag.blowup_time = t + (step + 1) * h
-                    break
-        t = float(target)
-        if diag.blowup_time is not None:
-            break
-        values[i] = _mirror(state[0])
-        diag.l2_history.append((t, _scaled_l2(values[i]), _scaled_l2(_mirror(state[1]))))
-        if diag.max_tail_fraction > tail_tol:
-            if _retry:
-                traj, inner = rk4_solve(
-                    pair, horizon, dt, 2 * K, k=k, nonlinear=nonlinear,
-                    node_degree=node_degree, tail_tol=tail_tol, _retry=False,
-                )
-                inner.enlarged = True
-                return traj, inner
-            raise TruncationTailError(
-                f"truncation tail {diag.max_tail_fraction:.3g} above "
-                f"{tail_tol:g} even after enlarging the closure"
+    with _partner_pool(K) as pool:
+        for i, target in enumerate(nodes[1:], 1):
+            seg = float(target) - t
+            steps = max(1, math.ceil(seg / dt))
+            h = seg / steps
+            half_h, sixth_h = 0.5 * h, h / 6.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                for step in range(steps):
+                    # round 1: F1 = F(u), F2 = F(u + h/2 v)
+                    np.add(u, np.multiply(half_h, v, out=arg_there), out=arg_there)
+                    _pair(pool, lambda: force(u, f_here, monitored=True),
+                          lambda: force(arg_there, f_there))
+                    # stage 2's velocity v + h/2 F1 in f_part
+                    np.add(v, np.multiply(half_h, f_here, out=f_part), out=f_part)
+                    np.add(v, np.multiply(2, f_part, out=acc_u), out=acc_u)
+                    np.add(u, np.multiply(half_h, f_part, out=arg_here), out=arg_here)
+                    # stage 3's velocity v + h/2 F2 in f_part
+                    np.add(v, np.multiply(half_h, f_there, out=f_part), out=f_part)
+                    np.add(u, np.multiply(h, f_part, out=arg_there), out=arg_there)
+                    acc_u += np.multiply(2, f_part, out=f_part)
+                    f_here += np.multiply(2, f_there, out=f_there)
+                    # round 2: F3 = F(u + h/2 (v + h/2 F1)), F4 = F(u + h (v + h/2 F2))
+                    _pair(pool, lambda: force(arg_here, f_there),
+                          lambda: force(arg_there, f_part))
+                    # stage 4's velocity v + h F3 in arg_here
+                    acc_u += np.add(v, np.multiply(h, f_there, out=arg_here), out=arg_here)
+                    f_here += np.multiply(2, f_there, out=f_there)
+                    f_here += f_part
+                    u += np.multiply(sixth_h, acc_u, out=acc_u)
+                    v += np.multiply(sixth_h, f_here, out=f_here)
+                    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+                        diag.blowup_time = t + (step + 1) * h
+                        break
+            t = float(target)
+            if diag.blowup_time is not None:
+                break
+            values[i] = _mirror(u)
+            diag.l2_history.append((t, _scaled_l2(values[i]), _scaled_l2(_mirror(v))))
+            if diag.max_tail_fraction > tail_tol:
+                break
+    if diag.blowup_time is None and diag.max_tail_fraction > tail_tol:
+        if _retry:
+            traj, inner = rk4_solve(
+                pair, horizon, dt, 2 * K, k=k, nonlinear=nonlinear,
+                node_degree=node_degree, tail_tol=tail_tol, _retry=False,
             )
-    return Trajectory.from_rows(lattice, horizon, nodes, idx, values), diag
+            inner.enlarged = True
+            return traj, inner
+        raise TruncationTailError(
+            f"truncation tail {diag.max_tail_fraction:.3g} above "
+            f"{tail_tol:g} even after enlarging the closure"
+        )
+    return Trajectory.from_rows(lattice, horizon, nodes, np.arange(-K, K + 1),
+                                values), diag
+
+
+# Smallest K at which a solve runs each round's second forcing on a worker
+# thread.  Below it the hand-over costs about as much as the overlap saves:
+# rk4_solve per step, k = 2, inline / paired on a 2-vCPU VM, K = 448
+# 252 / 738 us, 2,000 1,056 / 1,106, 3,000 896-1,248 / 1,113-1,207,
+# 4,000 1,346-1,439 / 1,373-1,490, 5,000 1,784-2,441 / 1,553-1,924,
+# 6,000 2,470-2,477 / 2,102-2,243, 57,414 31.5 / 21.5 ms.
+_PAIR_MIN_MODES = 5000
+
+
+def _partner_pool(K: int):
+    """A one-thread executor for the partner forcings when K reaches
+    _PAIR_MIN_MODES and this process may run on two CPUs; otherwise a
+    context that yields None.  Either way it is a context manager, and
+    leaving it joins the worker."""
+    if K >= _PAIR_MIN_MODES and _usable_cpus() >= 2:
+        # imported here: it loads logging, which most runs never need
+        from concurrent.futures import ThreadPoolExecutor
+
+        return ThreadPoolExecutor(1)
+    return contextlib.nullcontext()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all CPUs where the platform has no
+    affinity call)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _pair(pool, here, there) -> None:
+    """Run here() on this thread and there() beside it on pool's worker,
+    or there() after here() on this thread when pool is None."""
+    if pool is None:
+        here()
+        there()
+        return
+    future = pool.submit(_quietly, there)
+    try:
+        here()
+    finally:
+        future.result()
+
+
+def _quietly(task) -> None:
+    """task() under the step loop's floating-point error state, which
+    numpy keeps per thread and so does not carry into a worker."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        task()
 
 
 def _mirror(half: np.ndarray) -> np.ndarray:

@@ -130,6 +130,43 @@ def test_solve_rejects_nonnegative_s_as_inflate_does(tmp_path, capsys):
     assert "s must be negative" in capsys.readouterr().err
 
 
+_SWEEP = {"k": 2, "s": -0.75, "delta": 0.25, "N_list": [256],
+          "families": [{"family": "sobolev"}], "seed": 1, "J": 2, "p": 12,
+          "method": "none"}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("s", "x"), ("k", "2"), ("N_list", [256, "1024"]), ("N_list", 256),
+    ("seed", None), ("p", 12.5), ("J", True), ("s", math.nan),
+])
+def test_inflate_rejects_a_value_of_the_wrong_type(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_SWEEP, **{key: value})))
+    assert run(["inflate", "--config", str(cfg),
+                "--out", str(tmp_path / "runs")]) == 2
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("s", "x"), ("k", "2"), ("n", "1"), ("seed", [3]), ("p", "16"),
+    ("delta", "0.25"), ("base_amplitude", False),
+])
+def test_solve_rejects_a_value_of_the_wrong_type(tmp_path, capsys, key, value):
+    config = {"k": 2, "s": -0.75, "delta": 0.25, "n": 1, "seed": 3}
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps(dict(config, **{key: value})))
+    assert run(["solve", "--config", str(cfg)]) == 2
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
+def test_integral_floats_and_null_defaults_pass_the_key_check():
+    from gibq.harness import validate_config
+
+    config = dict(_SWEEP, N_list=[256.0, 1e3], seed=1.0, sigma=None,
+                  delta=None)
+    assert validate_config(config) is config
+
+
 class _Captured(Exception):
     pass
 

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,26 @@ def test_sweep_rows_package_errors_and_raises_bugs(monkeypatch, threads):
     monkeypatch.setattr(harness, "run_inflation", buggy)
     with pytest.raises(TypeError, match="a bug"):
         sweep(dict(BASE_CONFIG), threads=threads)
+
+
+def test_sweep_threads_and_rk4_workers_give_the_same_bytes(monkeypatch):
+    # sweep threads, each with its own RK4 partner worker
+    from gibq import oracle
+
+    monkeypatch.setattr(oracle, "_PAIR_MIN_MODES", 0)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    cfg = dict(BASE_CONFIG, method="rk4", rk4_depth=2, rk4_steps=100,
+               rk4_tail_tol=1e9)
+    reports, serial, _ = sweep(dict(cfg), threads=0)
+    # four threads on at most two cores, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _, pooled, _ = sweep(dict(cfg), threads=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r is not None for r in reports)
+    assert pooled == serial
 
 
 def test_config_hash_stable():

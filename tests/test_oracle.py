@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from gibq import lattice as lattice_module
 from gibq import oracle as oracle_module
 from gibq.construction import make_bump, schedule, schedule_from_N
-from gibq.errors import CapacityError
+from gibq.errors import CapacityError, TruncationTailError
 from gibq.flow import InitialPair, chebyshev_nodes, duhamel, linear_flow
 from gibq.lattice import SpectralField, lambda_symbol
 from gibq.oracle import (
@@ -256,6 +257,82 @@ def test_rk4_blowup_history_without_overflow(lattice):
         else:
             assert diag.blowup_time <= node4
             assert diag.l2_history[-1][0] < node4
+
+
+def _partner_on_worker(monkeypatch, on):
+    """Make rk4_solve run the partner forcings on its worker thread (on)
+    or inline on the calling thread, whatever the block size and the
+    CPUs of this host.  Returns the list of threads that ran a partner
+    forcing on a worker."""
+    monkeypatch.setattr(oracle_module, "_PAIR_MIN_MODES", 0 if on else math.inf)
+    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 2)
+    threads = []
+    quietly = oracle_module._quietly
+
+    def spy(task):
+        threads.append(threading.get_ident())
+        quietly(task)
+
+    monkeypatch.setattr(oracle_module, "_quietly", spy)
+    return threads
+
+
+def _rk4_cases(lattice):
+    """(pair, horizon, dt, K, keywords) of a blow-up, k = 3, a linear run
+    and a tail breach that takes the retry."""
+    big = InitialPair(
+        SpectralField.from_pairs(lattice, [(-1, 1000.0), (1, 1000.0)]),
+        SpectralField.zero(lattice),
+    )
+    small = InitialPair(hermitian_field(lattice, 62, 6, amplitude=0.5),
+                        hermitian_field(lattice, 63, 6, amplitude=0.5))
+    tail = InitialPair(hermitian_field(lattice, 4, 4, amplitude=0.1),
+                       hermitian_field(lattice, 54, 4, amplitude=0.1))
+    return {
+        "blowup": (big, 1.0, 1e-3, 64, dict(k=2, tail_tol=math.inf)),
+        "k3": (small, 0.5, 0.5 / 200, 96, dict(k=3, tail_tol=math.inf)),
+        "linear": (small, 0.5, 0.5 / 200, 96, dict(nonlinear=False)),
+        "retry": (tail, 0.5, 0.5 / 200, 12, dict(k=2, tail_tol=1e-10)),
+    }
+
+
+@pytest.mark.parametrize("case", ["blowup", "k3", "linear", "retry"])
+def test_rk4_paired_and_inline_stages_agree_bit_for_bit(monkeypatch, lattice, case):
+    pair, horizon, dt, K, kwargs = _rk4_cases(lattice)[case]
+    runs = []
+    for on in (True, False):
+        threads = _partner_on_worker(monkeypatch, on)
+        traj, diag = rk4_solve(pair, horizon, dt, K, **kwargs)
+        assert bool(threads) == on
+        assert threading.get_ident() not in threads
+        runs.append((traj, diag))
+    (paired, pdiag), (inline, idiag) = runs
+    assert paired.support.tobytes() == inline.support.tobytes()
+    assert paired.values.tobytes() == inline.values.tobytes()
+    assert pdiag.blowup_time == idiag.blowup_time
+    assert pdiag.max_tail_fraction == idiag.max_tail_fraction
+    assert pdiag.l2_history == idiag.l2_history
+    assert pdiag.enlarged == idiag.enlarged == (case == "retry")
+    assert (pdiag.blowup_time is not None) == (case == "blowup")
+
+
+def test_rk4_leaves_no_worker_thread_behind(monkeypatch, lattice):
+    threads = _partner_on_worker(monkeypatch, True)
+    before = threading.active_count()
+    cases = _rk4_cases(lattice)
+    for case in ("blowup", "retry"):
+        pair, horizon, dt, K, kwargs = cases[case]
+        rk4_solve(pair, horizon, dt, K, **kwargs)
+        assert threading.active_count() == before
+    wide = InitialPair(hermitian_field(lattice, 5, 24, amplitude=0.8),
+                       hermitian_field(lattice, 55, 24, amplitude=0.8))
+    with pytest.raises(TruncationTailError):
+        rk4_solve(wide, 0.5, 0.5 / 200, 30, k=2, tail_tol=1e-10)
+    assert threading.active_count() == before
+    with pytest.raises(ValueError, match="closure"):
+        rk4_solve(wide, 0.5, 0.5 / 200, 20, k=2)
+    assert threading.active_count() == before
+    assert threads
 
 
 # ----------------------------------------------------------------------
