@@ -11,8 +11,10 @@ Three oracles, all structurally independent of the Picard machinery:
                 the other three stages take only its alias-free modes
                 0..K, on (k + 1)K + 1 samples.  The four stages run as
                 two rounds of two independent forcings; on a large
-                block with two CPUs, each round's second forcing runs on
-                a worker thread, with bit-identical output.
+                block, when the process may run on two CPUs and no more
+                solves run at once than leave a CPU for each worker,
+                each round's second forcing runs on a worker thread,
+                with bit-identical output.
 * xi1_closed_form -- the first Picard term of the bump evaluated without
                 quadrature, by expanding the cosine product into 2^(k-1)
                 cosines and integrating each against sin((T-t')lam)lam
@@ -157,10 +159,14 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
 
     For u'' = F(u) the stages form two rounds of two independent
     forcings, F1 = F(u) with F2 = F(u + h/2 v), then F3 with F4, which
-    take the first round's results.  On a large block with a second CPU
-    free, each round's second forcing runs on a worker thread; every
-    array is computed by the same expressions in the same order either
-    way, so the output does not depend on it.
+    take the first round's results.  When K >= _PAIR_MIN_MODES and the
+    process's CPU affinity holds at least two CPUs, the solve starts one
+    worker thread, and each round runs its second forcing there while
+    twice the number of solves in progress in this process is at most
+    that CPU count (so not while two sweep points solve at once on two
+    CPUs); other load is not seen.  Every array is computed by the same
+    expressions in the same order either way, so the output does not
+    depend on it.
     """
     if dt <= 0 or dt > horizon / 100.0:
         raise ValueError("dt must be positive and at most horizon/100")
@@ -282,17 +288,32 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
 _PAIR_MIN_MODES = 5000
 
 
-def _partner_pool(K: int):
-    """A one-thread executor for the partner forcings when K reaches
-    _PAIR_MIN_MODES and this process may run on two CPUs; otherwise a
-    context that yields None.  Either way it is a context manager, and
-    leaving it joins the worker."""
-    if K >= _PAIR_MIN_MODES and _usable_cpus() >= 2:
-        # imported here: it loads logging, which most runs never need
-        from concurrent.futures import ThreadPoolExecutor
+# RK4 solves in progress in this process (sweep runs points in threads).
+_running = 0
+_running_lock = threading.Lock()
 
-        return ThreadPoolExecutor(1)
-    return contextlib.nullcontext()
+
+@contextlib.contextmanager
+def _partner_pool(K: int):
+    """Count this solve among the running ones and yield a one-thread
+    executor for the partner forcings when K reaches _PAIR_MIN_MODES and
+    this process may run on two CPUs, otherwise None.  Leaving joins the
+    worker and uncounts the solve."""
+    global _running
+    with _running_lock:
+        _running += 1
+    try:
+        if K >= _PAIR_MIN_MODES and _usable_cpus() >= 2:
+            # imported here: it loads logging, which most runs never need
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(1) as pool:
+                yield pool
+        else:
+            yield None
+    finally:
+        with _running_lock:
+            _running -= 1
 
 
 def _usable_cpus() -> int:
@@ -306,8 +327,10 @@ def _usable_cpus() -> int:
 
 def _pair(pool, here, there) -> None:
     """Run here() on this thread and there() beside it on pool's worker,
-    or there() after here() on this thread when pool is None."""
-    if pool is None:
+    or there() after here() on this thread when pool is None or the
+    running solves, with a worker each, would need more CPUs than this
+    process may use (two sweep points solving at once on two CPUs)."""
+    if pool is None or 2 * _running > _usable_cpus():
         here()
         there()
         return

@@ -315,12 +315,14 @@ def test_sweep_rows_package_errors_and_raises_bugs(monkeypatch, threads):
         sweep(dict(BASE_CONFIG), threads=threads)
 
 
-def test_sweep_threads_and_rk4_workers_give_the_same_bytes(monkeypatch):
-    # sweep threads, each with its own RK4 partner worker
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_sweep_threads_and_rk4_workers_give_the_same_bytes(monkeypatch, cpus):
+    # sweep threads, each with its own RK4 partner worker; on two CPUs a
+    # solve leaves its worker idle while the other sweep point also solves
     from gibq import oracle
 
     monkeypatch.setattr(oracle, "_PAIR_MIN_MODES", 0)
-    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
     cfg = dict(BASE_CONFIG, method="rk4", rk4_depth=2, rk4_steps=100,
                rk4_tail_tol=1e9)
     reports, serial, _ = sweep(dict(cfg), threads=0)

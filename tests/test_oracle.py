@@ -333,6 +333,26 @@ def test_rk4_leaves_no_worker_thread_behind(monkeypatch, lattice):
         rk4_solve(wide, 0.5, 0.5 / 200, 20, k=2)
     assert threading.active_count() == before
     assert threads
+    assert oracle_module._running == 0
+
+
+def test_rk4_runs_inline_while_the_solves_outnumber_the_cpu_pairs(monkeypatch, lattice):
+    # with another solve in progress, two solves with a worker each would
+    # need four CPUs; the two this process may use leave each solve one
+    pair, horizon, dt, K, kwargs = _rk4_cases(lattice)["k3"]
+    threads = _partner_on_worker(monkeypatch, True)
+    paired, _ = rk4_solve(pair, horizon, dt, K, **kwargs)
+    assert threads
+    threads.clear()
+    monkeypatch.setattr(oracle_module, "_running", 1)
+    inline, _ = rk4_solve(pair, horizon, dt, K, **kwargs)
+    assert not threads
+    assert oracle_module._running == 1
+    assert inline.values.tobytes() == paired.values.tobytes()
+    # four CPUs leave room for both workers
+    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 4)
+    rk4_solve(pair, horizon, dt, K, **kwargs)
+    assert threads
 
 
 # ----------------------------------------------------------------------
