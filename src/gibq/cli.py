@@ -21,10 +21,11 @@ from . import __version__
 from .construction import initial_data, make_bump, schedule
 from .errors import ConfigError, GibqError
 from .flow import InitialPair
-from .harness import SCHEMA_VERSION, _fmt, check_keys, point_params, sweep, validate_config
+from .harness import SCHEMA_VERSION, _fmt, check_keys, config_args, point_params, sweep, validate_config
 from .lattice import FrequencyLattice, SpectralField
 from .norms import NormSpec, check_algebra, check_embeddings, norm
 from .oracle import (
+    TAIL_TOL,
     closure_from_depth,
     convolution_sandwich,
     rk4_solve,
@@ -97,18 +98,17 @@ def _cmd_solve(args) -> int:
     kind = "n" if "n" in config else "N"
     params = point_params(config, kind, config[kind])
     lattice = params.lattice()
-    base, _, data = initial_data(params, lattice, int(config.get("seed", 0)),
-                                 float(config.get("base_amplitude", 0.0)),
-                                 float(config.get("base_decay", 0.25)))
+    base, _, data = initial_data(params, lattice, int(config.get("seed", 0)), **config_args(
+        config, {"base_amplitude": "amplitude", "base_decay": "decay"}))
     if not config.get("bump", True):
         data = InitialPair.zero(lattice) if base is None else base
-    degree = int(config.get("p", 16))
+    degree = config_args(config, {"p": "degree"})
     if args.method == "series":
-        acc = partial_sum(data, params.k, args.max_gen, params.T, degree)
+        acc = partial_sum(data, params.k, args.max_gen, params.T, **degree)
         ledger = acc.ledger
         ratios = [""] + [repr(r) for r in acc.ratios()]
     else:
-        traj = fixed_point(data, params.k, params.T, FIXED_POINT_TOL, degree)
+        traj = fixed_point(data, params.k, params.T, FIXED_POINT_TOL, **degree)
         ledger = [traj.sup_l1()]
         ratios = [""]
     lines = ["j,sup_l1,ratio"]
@@ -126,7 +126,7 @@ def _parse_norm_spec(text: str) -> NormSpec:
     return NormSpec(family, s=s, q=q)
 
 
-def _embedding_corpus(count: int = 100, seed: int = 20240801):
+def _embedding_corpus(count: int, seed: int):
     """Seeded band-limited fields on a scaled torus, multi-point bands."""
     rng = np.random.default_rng(seed)
     lattice = FrequencyLattice(period=8.0, cutoff=1 << 20, kind="line_approx")
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--steps", type=int, default=400)
     p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--tail-tol", type=float, default=1e-10,
+    p.add_argument("--tail-tol", type=float, default=TAIL_TOL,
                    help="truncation-tail tolerance; raise it to follow "
                         "runs toward blow-up")
     p.add_argument("--out")

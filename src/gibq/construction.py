@@ -26,6 +26,8 @@ from .lattice import FrequencyLattice, SpectralField, _next_pow2
 CUBE_CENTERS = (-2, -1, 1, 2)  # multiples of N carrying the bump cubes
 DEFAULT_A = 10
 BASE_MAX_FREQ = 64
+# schedule raises N to keep N >= CUBE_SEPARATION * A, condition (vi)
+CUBE_SEPARATION = 64
 
 
 def delta_ceiling(s: float, k: int) -> float:
@@ -66,10 +68,12 @@ class InflationParams:
         )
 
 
-def _derive(N: int, s: float, k: int, delta: float):
-    R = float(N) ** (-s - delta)
-    T = float(N) ** ((k - 1) / 2.0 * (s + delta / 2.0))
-    return R, T
+def _params(n: int, N: int, k: int, s: float, sigma: float, delta: float,
+            adjustments: list) -> InflationParams:
+    """The record of a schedule that has chosen n and N: R and T follow."""
+    return InflationParams(
+        n=n, k=k, s=s, sigma=sigma, delta=delta, N=N, R=float(N) ** (-s - delta),
+        T=float(N) ** ((k - 1) / 2.0 * (s + delta / 2.0)), adjustments=adjustments)
 
 
 def _checked_exponents(s: float, k: int, sigma: float | None,
@@ -94,32 +98,32 @@ def _checked_exponents(s: float, k: int, sigma: float | None,
 
 
 def schedule(n: int, k: int, s: float, sigma: float | None = None,
-             delta_hint: float | None = None,
-             separation_floor: int = 64) -> InflationParams:
+             delta_hint: float | None = None) -> InflationParams:
     """Derive the full parameter set for inflation index n.
 
-    separation_floor enforces N >= separation_floor * A (cube separation)
-    by raising N to a power of two; pass 0 to reproduce the raw formula
-    arithmetic (disjointness is then only guarded by make_bump).
+    N = ceil(n^(2/delta)) is raised to a power of two, and the raise
+    logged in adjustments, when it is below CUBE_SEPARATION * A (the bump
+    cubes would not be separated), and then to the next power of two
+    until T lies inside (0, 1/n).  R and T are derived from the final N
+    as schedule_from_N derives them.
     """
     sigma, delta = _checked_exponents(s, k, sigma, delta_hint)
     if n < 1:
         raise ValueError("inflation index n must be >= 1")
     adjustments = []
     N = math.ceil(float(n) ** (2.0 / delta))
-    if separation_floor > 0 and N < separation_floor * DEFAULT_A:
-        N = _next_pow2(separation_floor * DEFAULT_A)
+    if N < CUBE_SEPARATION * DEFAULT_A:
+        N = _next_pow2(CUBE_SEPARATION * DEFAULT_A)
         adjustments.append(
             f"N raised to {N} to keep the bump cubes separated "
-            f"(N >= {separation_floor}A)"
+            f"(N >= {CUBE_SEPARATION}A)"
         )
-    R, T = _derive(N, s, k, delta)
-    while not (0.0 < T < 1.0 / n):
+    while True:
+        params = _params(n, N, k, s, sigma, delta, adjustments)
+        if 0.0 < params.T < 1.0 / n:
+            return params
         N = _next_pow2(N + 1)
-        R, T = _derive(N, s, k, delta)
         adjustments.append(f"N raised to {N} so that T stays inside (0, 1/n)")
-    return InflationParams(n=n, k=k, s=s, sigma=sigma, delta=delta,
-                           N=N, R=R, T=T, adjustments=adjustments)
 
 
 def schedule_from_N(N: int, k: int, s: float, sigma: float | None = None,
@@ -134,11 +138,8 @@ def schedule_from_N(N: int, k: int, s: float, sigma: float | None = None,
         raise ValueError(
             f"forced N must exceed A = {DEFAULT_A} for disjoint cubes"
         )
-    R, T = _derive(N, s, k, delta)
     n = max(1, round(float(N) ** (delta / 2.0)))
-    return InflationParams(n=n, k=k, s=s, sigma=sigma, delta=delta,
-                           N=N, R=R, T=T,
-                           adjustments=[f"N forced to {N}; nominal n={n}"])
+    return _params(n, N, k, s, sigma, delta, [f"N forced to {N}; nominal n={n}"])
 
 
 @dataclass

@@ -338,8 +338,8 @@ def _check_args(args):
             raise LatticeMismatchError("duhamel arguments with different horizons")
 
 
-def duhamel(args: list, t_eval: float, quad_degree: int = DEFAULT_DEGREE,
-            prune: float = PRUNE_REL) -> SpectralField:
+def duhamel(args: list, t_eval: float,
+            quad_degree: int = DEFAULT_DEGREE) -> SpectralField:
     """Multilinear Duhamel integral of k trajectories at time t_eval.
 
     The k-fold product is formed at the quad_degree + 1 Clenshaw-Curtis
@@ -351,24 +351,22 @@ def duhamel(args: list, t_eval: float, quad_degree: int = DEFAULT_DEGREE,
     if t_eval < 0 or t_eval > args[0].horizon * (1 + 1e-12):
         raise ValueError("t_eval outside [0, horizon]")
     taus = chebyshev_nodes(quad_degree, t_eval)
-    xi, values = fold_product([a.rows_at(taus) for a in args], taus.size, prune)
+    xi, values = fold_product([a.rows_at(taus) for a in args], taus.size, PRUNE_REL)
     if lattice.weight != 1.0:
         values *= lattice.weight ** (len(args) - 1)
     # the product is already at the quadrature nodes: identity interpolation
     out = _integrate(lattice, xi, np.array([t_eval]), values,
-                     np.eye(taus.size)[None], quad_degree, prune)[0]
+                     np.eye(taus.size)[None], quad_degree)[0]
     keep = out != 0
     return SpectralField(lattice, xi[keep], out[keep])
 
 
-def duhamel_trajectory(args: list, quad_degree: int = DEFAULT_DEGREE,
-                       prune: float = PRUNE_REL) -> Trajectory:
+def duhamel_trajectory(args: list, quad_degree: int = DEFAULT_DEGREE) -> Trajectory:
     """Duhamel integral at every node of the first argument's grid."""
-    return duhamel_sum([(1, args)], quad_degree, prune)
+    return duhamel_sum([(1, args)], quad_degree)
 
 
-def duhamel_sum(groups: list, quad_degree: int = DEFAULT_DEGREE,
-                prune: float = PRUNE_REL) -> Trajectory:
+def duhamel_sum(groups: list, quad_degree: int = DEFAULT_DEGREE) -> Trajectory:
     """Sum over groups (count, args) of count times the Duhamel integral
     of args, at every node of the first argument of the first group; the
     products share the grid of the largest sum D of a group's resolved
@@ -384,7 +382,7 @@ def duhamel_sum(groups: list, quad_degree: int = DEFAULT_DEGREE,
         # that the product on the whole grid and one batch's transforms
         # together stay near the memory of one single-time fold
         xi, values = fold_product([rows[id(a)] for a in args],
-                                  max(1, (quad_degree + 1) // 2), prune)
+                                  max(1, (quad_degree + 1) // 2), PRUNE_REL)
         factor = count * base.lattice.weight ** (len(args) - 1)
         if factor != 1.0:
             values *= factor
@@ -393,7 +391,7 @@ def duhamel_sum(groups: list, quad_degree: int = DEFAULT_DEGREE,
     del rows, parts, values  # the kernel pass needs only the sum
     out = _integrate(base.lattice, xi, base.nodes, product,
                      _product_interpolation(base.degree, degree, quad_degree),
-                     quad_degree, prune)
+                     quad_degree)
     return Trajectory.from_rows(base.lattice, base.horizon, base.nodes, xi, out)
 
 
@@ -417,10 +415,10 @@ def _interpolate(coeffs, values):
     return (coeffs @ np.ascontiguousarray(values).view(np.float64)).view(np.complex128)
 
 
-def _integrate(lattice, xi, times, product, interp, quad_degree, prune):
+def _integrate(lattice, xi, times, product, interp, quad_degree):
     """The (times x xi) matrix of Clenshaw-Curtis sums over [0, t] of
     sin((t-tau) lam) lam times the product at the quadrature nodes tau,
-    each row with the entries below prune times its largest set to zero.
+    each row with the entries below PRUNE_REL times its largest set to zero.
 
     interp[i] maps the rows of product to the quadrature nodes of
     times[i].  The times go in batches whose quadrature rows together fit
@@ -444,5 +442,5 @@ def _integrate(lattice, xi, times, product, interp, quad_degree, prune):
         values *= kernel[..., inverse]
         rows = np.sum(values, axis=1, out=out[lo:lo + batch])
         mags = np.abs(rows)
-        rows[mags < prune * np.max(mags, axis=1, keepdims=True, initial=0.0)] = 0
+        rows[mags < PRUNE_REL * np.max(mags, axis=1, keepdims=True, initial=0.0)] = 0
     return out

@@ -26,6 +26,7 @@ import numpy as np
 
 from .construction import (
     CUBE_CENTERS,
+    CUBE_SEPARATION,
     BumpData,
     InflationParams,
     initial_data,
@@ -33,10 +34,10 @@ from .construction import (
     schedule_from_N,
 )
 from .errors import ConfigError, GibqError, SeriesDivergenceError
-from .flow import InitialPair, duhamel, linear_flow
+from .flow import DEFAULT_DEGREE, InitialPair, duhamel, linear_flow
 from .lattice import SpectralField, bracket
 from .norms import NormSpec, norm
-from .oracle import closure_from_depth, rk4_solve, xi1_closed_form
+from .oracle import TAIL_TOL, closure_from_depth, rk4_solve, xi1_closed_form
 from .series import FIXED_POINT_TOL, fixed_point, partial_sum
 
 SCHEMA_VERSION = 1
@@ -158,7 +159,7 @@ def check_conditions(params: InflationParams,
                         T**2 * R**k * A ** (k - 0.5 + sig)),
         ConditionRecord("v: main term above n",
                         float(n), T**2 * R**k * A ** (k - 0.5 + sig)),
-        ConditionRecord("vi: cube separation", 64.0 * A, float(N)),
+        ConditionRecord("vi: cube separation", float(CUBE_SEPARATION * A), float(N)),
     ]
     return EstimateLedger(g_s_of_A=gs, f_sq_of_A=fs, conditions=conds)
 
@@ -263,11 +264,11 @@ def run_inflation(params: InflationParams,
                   base_decay: float = 0.25,
                   families: list | None = None,
                   max_gen: int = 4,
-                  degree: int = 16,
+                  degree: int = DEFAULT_DEGREE,
                   method: str = "rk4",
                   rk4_depth: int = 18,
                   rk4_steps: int = 400,
-                  rk4_tail_tol: float = 1e-10) -> InflationReport:
+                  rk4_tail_tol: float = TAIL_TOL) -> InflationReport:
     """One full experiment at fixed parameters.
 
     Builds the perturbed data, computes series terms up to max_gen,
@@ -502,6 +503,14 @@ def validate_config(config: dict) -> dict:
     return config
 
 
+def config_args(config: dict, names: dict) -> dict:
+    """Keyword arguments from a checked config: names maps config keys to
+    parameter names.  A key the config holds is converted by its type, int
+    or float; an absent key is left to the callee's default."""
+    return {name: (int if key in _INTEGER_KEYS else float)(config[key])
+            for key, name in names.items() if key in config}
+
+
 def point_params(config: dict, kind: str, value) -> InflationParams:
     """Parameters of one point of a checked config: schedule for kind "n",
     schedule_from_N for "N", at the config's k, s, sigma and delta."""
@@ -551,23 +560,19 @@ def sweep(config: dict, threads: int = 0):
     for lab in labels:
         columns += [f"pert_{lab}", f"xi1_{lab}", f"solution_{lab}"]
 
+    options = config_args(config, {
+        "base_amplitude": "base_amplitude", "base_decay": "base_decay",
+        "p": "degree", "rk4_depth": "rk4_depth", "rk4_steps": "rk4_steps",
+        "rk4_tail_tol": "rk4_tail_tol"})
+
     # A package error or a bad point (schedule_from_N raises ValueError)
     # becomes an error row; any other exception is a bug and propagates.
     def one_run(value):
         try:
             return run_inflation(
-                point_params(config, kind, value),
-                base_seed=int(config["seed"]),
-                base_amplitude=float(config.get("base_amplitude", 0.0)),
-                base_decay=float(config.get("base_decay", 0.25)),
-                families=families,
-                max_gen=int(config["J"]),
-                degree=int(config["p"]),
-                method=config["method"],
-                rk4_depth=int(config.get("rk4_depth", 18)),
-                rk4_steps=int(config.get("rk4_steps", 400)),
-                rk4_tail_tol=float(config.get("rk4_tail_tol", 1e-10)),
-            ), None
+                point_params(config, kind, value), base_seed=int(config["seed"]),
+                families=families, max_gen=int(config["J"]),
+                method=config["method"], **options), None
         except (GibqError, ValueError) as exc:
             return None, exc
 

@@ -98,8 +98,14 @@ def band_partition(f: SpectralField) -> BandPartition:
     )
 
 
-def norm(obj, spec: NormSpec, oversample: int = _LINF_OVERSAMPLE) -> float:
-    """Evaluate one norm.  Empty fields give 0."""
+def norm(obj, spec: NormSpec) -> float:
+    """Evaluate one norm.  Empty fields give 0.
+
+    The norms that need physical samples (w_s2inf of a spectrum that is
+    not nonnegative, wiener_amalgam with multi-point bands) take them on
+    lattice.synthesize's power-of-two grid with oversampling
+    _LINF_OVERSAMPLE.
+    """
     if isinstance(obj, InitialPair):
         if spec.family == "sobolev_pair":
             comp = NormSpec("sobolev", s=spec.s)
@@ -110,7 +116,7 @@ def norm(obj, spec: NormSpec, oversample: int = _LINF_OVERSAMPLE) -> float:
             comp = spec
         else:
             raise ValueError(f"{spec.family} does not apply to pairs")
-        return norm(obj.u0, comp, oversample) + norm(obj.u1, comp, oversample)
+        return norm(obj.u0, comp) + norm(obj.u1, comp)
 
     f: SpectralField = obj
     if spec.family in ("sobolev_pair", "wiener_pair"):
@@ -135,7 +141,7 @@ def norm(obj, spec: NormSpec, oversample: int = _LINF_OVERSAMPLE) -> float:
             # so no synthesis grid is needed (works at any frequency scale)
             linf = float(np.sum(g.c.real)) * g.lattice.weight
         else:
-            linf = synthesize(g, oversample=oversample).max_abs()
+            linf = synthesize(g, oversample=_LINF_OVERSAMPLE).max_abs()
         return max(l2, linf)
 
     if spec.family == "modulation":
@@ -148,12 +154,12 @@ def norm(obj, spec: NormSpec, oversample: int = _LINF_OVERSAMPLE) -> float:
         return _lq(bracket(ns) ** spec.s * vals, 1.0, spec.q)
 
     if spec.family == "wiener_amalgam":
-        return _amalgam_norm(f, spec, oversample)
+        return _amalgam_norm(f, spec)
 
     raise ValueError(f"unhandled family {spec.family}")
 
 
-def _amalgam_norm(f: SpectralField, spec: NormSpec, oversample: int) -> float:
+def _amalgam_norm(f: SpectralField, spec: NormSpec) -> float:
     """L2 over the grid of the lq-over-bands of weighted band syntheses."""
     part = band_partition(f)
     ns = sorted(part.bands)
@@ -167,7 +173,7 @@ def _amalgam_norm(f: SpectralField, spec: NormSpec, oversample: int) -> float:
         idx = part.bands[n]
         piece = SpectralField(f.lattice, f.xi[idx], f.c[idx])
         rows.append(bracket(float(n)) ** spec.s
-                    * np.abs(_common_grid_samples(piece, f, oversample)))
+                    * np.abs(_common_grid_samples(piece, f)))
     stack = np.stack(rows)  # bands x gridpoints
     if math.isinf(spec.q):
         g = np.max(stack, axis=0)
@@ -176,14 +182,13 @@ def _amalgam_norm(f: SpectralField, spec: NormSpec, oversample: int) -> float:
     return math.sqrt(float(np.mean(g**2)) * f.lattice.weight)
 
 
-def _common_grid_samples(piece: SpectralField, full: SpectralField,
-                         oversample: int) -> np.ndarray:
+def _common_grid_samples(piece: SpectralField, full: SpectralField) -> np.ndarray:
     """Band synthesis on a grid sized from the full field's support, so all
     bands of one field share the same sample points: lattice.synthesize's
     power-of-two grid and memory guard, not the shorter _fft_length of the
     convolutions, since the length fixes the sample points behind the
     amalgam norms, which a change of length would move beyond rounding."""
-    m = synthesis_length(full, oversample)
+    m = synthesis_length(full, _LINF_OVERSAMPLE)
     spectrum = np.zeros(m, dtype=np.complex128)
     spectrum[np.mod(piece.xi, m)] = piece.c
     return np.fft.ifft(spectrum) * m

@@ -36,12 +36,15 @@ import numpy as np
 
 from .construction import CUBE_CENTERS, BumpData
 from .errors import CapacityError, TruncationTailError
-from .flow import InitialPair, Trajectory, chebyshev_nodes, stable_sinc
+from .flow import DEFAULT_DEGREE, InitialPair, Trajectory, chebyshev_nodes, stable_sinc
 from .lattice import (FrequencyLattice, SpectralField, _fft_length, convolve,
                       lambda_symbol, merge_terms)
 
 _TUPLE_BUDGET = 10**7
-_TAIL_TOL = 1e-10
+
+# Largest l2 fraction of the power outside the RK4 block that a solve
+# accepts, unless its caller passes another.
+TAIL_TOL = 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -60,7 +63,7 @@ class OdeDiagnostics:
     l2_history: list = field(default_factory=list)
 
 
-def closure_from_depth(pair: InitialPair, k: int, depth: int = 6) -> int:
+def closure_from_depth(pair: InitialPair, k: int, depth: int) -> int:
     """Hard cutoff covering Minkowski sums of the initial support: sums of
     up to (k-1)*depth+1 initial frequencies."""
     maxfreq = 0
@@ -140,7 +143,7 @@ def _sum_squares(x: np.ndarray) -> float:
 
 def rk4_solve(pair: InitialPair, horizon: float, dt: float,
               support_closure: int, k: int = 2, nonlinear: bool = True,
-              node_degree: int = 16, tail_tol: float = _TAIL_TOL,
+              node_degree: int = DEFAULT_DEGREE, tail_tol: float = TAIL_TOL,
               _retry: bool = True) -> tuple:
     """Integrate the Fourier-side system; returns (Trajectory, diagnostics).
 

@@ -129,15 +129,15 @@ def tail_residual(acc: SeriesAccumulator, pair: InitialPair, k: int,
 
 
 def fixed_point(pair: InitialPair, k: int, horizon: float, tol: float,
-                degree: int = DEFAULT_DEGREE,
-                max_iter: int = FIXED_POINT_MAX_ITER) -> Trajectory:
+                degree: int = DEFAULT_DEGREE) -> Trajectory:
     """Iterate u -> linear flow + duhamel(u,..,u) to a fixed point.
 
     Stops when the sup-l1 distance of two iterates is below tol or at the
     rounding floor of the fields' size, whichever is larger.  Requires the
     horizon to satisfy the contraction condition for the data size;
     expansion over three consecutive iterations raises DivergenceError
-    carrying the measured contraction factor.
+    carrying the measured contraction factor, and so does a distance
+    still above both after FIXED_POINT_MAX_ITER iterations.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -146,7 +146,7 @@ def fixed_point(pair: InitialPair, k: int, horizon: float, tol: float,
         return base
     current = base
     distances = []
-    for _ in range(max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         nxt = base + duhamel_trajectory([current] * k, degree)
         dist = nxt.sup_distance(current)
         distances.append(dist)
@@ -163,7 +163,7 @@ def fixed_point(pair: InitialPair, k: int, horizon: float, tol: float,
             )
         current = nxt
     raise DivergenceError(
-        f"no convergence below tol={tol:g} within {max_iter} iterations "
+        f"no convergence below tol={tol:g} within {FIXED_POINT_MAX_ITER} iterations "
         f"(last distance {distances[-1]:.3g})",
         float("nan"),
     )

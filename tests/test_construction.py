@@ -24,12 +24,14 @@ from gibq.norms import NormSpec, norm
 # ----------------------------------------------------------------------
 
 def test_schedule_raw_formula_arithmetic():
-    # s=-1, k=2, delta=1/2, n=2: N=16, R=4, T=16^(-3/8)
-    params = schedule(2, 2, -1.0, delta_hint=0.5, separation_floor=0)
-    assert params.N == 16
-    assert params.R == pytest.approx(4.0)
-    assert params.T == pytest.approx(16 ** (-0.375), rel=1e-12)
-    assert params.T == pytest.approx(0.3536, abs=5e-5)
+    # s=-1, k=2, delta=1/2, n=6: N=1296 >= 64A and T < 1/n, so neither
+    # adjustment binds; R=36, T=1296^(-3/8)=6^(-3/2)
+    params = schedule(6, 2, -1.0, delta_hint=0.5)
+    assert params.adjustments == []
+    assert params.N == 1296
+    assert params.R == pytest.approx(36.0)
+    assert params.T == pytest.approx(1296 ** (-0.375), rel=1e-12)
+    assert params.T == pytest.approx(0.06804, abs=5e-6)
 
 
 def test_delta_ceiling_value():
