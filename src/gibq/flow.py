@@ -81,6 +81,13 @@ def chebyshev_nodes(degree: int, horizon: float) -> np.ndarray:
     return horizon / 2.0 * (1.0 - np.cos(math.pi * i / max(degree, 1)))
 
 
+def check_node_degree(degree: int) -> None:
+    """ValueError unless a solution's node grid reaches the horizon: the
+    single node of degree 0 is t = 0, whose value is the initial data."""
+    if degree < 1:
+        raise ValueError(f"node degree must be >= 1, not {degree}")
+
+
 def _barycentric_weights(degree: int) -> np.ndarray:
     w = np.ones(degree + 1)
     w[1::2] = -1.0
@@ -307,6 +314,7 @@ def linear_flow(pair: InitialPair, horizon: float,
     """Free evolution cos(t*lam) u0 + (sin(t*lam)/lam) u1 at all nodes."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    check_node_degree(degree)
     lattice = pair.lattice
     nodes = chebyshev_nodes(degree, horizon)
     support = np.union1d(pair.u0.xi, pair.u1.xi)

@@ -36,7 +36,7 @@ from .construction import (
 from .errors import ConfigError, GibqError, SeriesDivergenceError
 from .flow import DEFAULT_DEGREE, InitialPair, duhamel, linear_flow
 from .lattice import SpectralField, bracket
-from .norms import NormSpec, norm
+from .norms import FAMILIES, PAIR_FAMILIES, NormSpec, norm
 from .oracle import TAIL_TOL, closure_from_depth, rk4_solve, xi1_closed_form
 from .series import FIXED_POINT_TOL, fixed_point, partial_sum
 
@@ -454,12 +454,18 @@ _INTEGER_KEYS = {"k", "seed", "J", "p", "n", "N", "rk4_depth", "rk4_steps"}
 _INTEGER_LIST_KEYS = {"n_list", "N_list"}
 _REAL_KEYS = {"s", "sigma", "delta", "base_amplitude", "base_decay",
               "rk4_tail_tol"}
+_BOOLEAN_KEYS = {"bump"}
+# The least value of an integer key: a node degree p of 0 is the single
+# node t = 0, numpy's generators take no negative seed, and run_inflation
+# needs the series generations 0..J for J >= 2.
+_MINIMUMS = {"p": 1, "seed": 0, "J": 2}
 
 
 def check_keys(config, known: set, required: set, index_keys: tuple):
     """ConfigError unless config is an object of known keys with all the
     required ones, exactly one of the two index_keys, numbers where
-    numbers are read and s < 0."""
+    numbers are read, booleans where booleans are, values at least the
+    _MINIMUMS of their keys and s < 0."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(config) - known
@@ -479,6 +485,10 @@ def check_keys(config, known: set, required: set, index_keys: tuple):
         if key in _REAL_KEYS and not (_is_real(value) or (
                 value is None and key in ("sigma", "delta"))):
             raise ConfigError(f"{key} must be a number, not {value!r}")
+        if key in _BOOLEAN_KEYS and not isinstance(value, bool):
+            raise ConfigError(f"{key} must be true or false, not {value!r}")
+        if key in _MINIMUMS and value < _MINIMUMS[key]:
+            raise ConfigError(f"{key} must be at least {_MINIMUMS[key]}, not {value!r}")
     if not config["s"] < 0:
         raise ConfigError("s must be negative")
 
@@ -496,11 +506,29 @@ def validate_config(config: dict) -> dict:
     check_keys(config, _CONFIG_KEYS, _REQUIRED_KEYS, ("n_list", "N_list"))
     if config["method"] not in ("series", "fixed-point", "rk4", "none"):
         raise ConfigError(f"unknown method {config['method']!r}")
-    if not isinstance(config["families"], list) or not all(
-        isinstance(f, dict) and "family" in f for f in config["families"]
-    ):
+    if not isinstance(config["families"], list):
         raise ConfigError("families must be a list of {family, q} objects")
+    for entry in config["families"]:
+        _check_family(entry)
     return config
+
+
+def _check_family(entry):
+    """ConfigError unless entry is a {family, q} object of a field family
+    (a pair family does not apply to the fields a run measures) whose q,
+    if given, is a number >= 1, null or "inf"."""
+    if not isinstance(entry, dict) or "family" not in entry:
+        raise ConfigError("families must be a list of {family, q} objects")
+    unknown = set(entry) - {"family", "q"}
+    if unknown:
+        raise ConfigError(f"unknown family keys: {sorted(unknown)}")
+    family = entry["family"]
+    if family not in FAMILIES or family in PAIR_FAMILIES:
+        allowed = [f for f in FAMILIES if f not in PAIR_FAMILIES]
+        raise ConfigError(f"family must be one of {allowed}, not {family!r}")
+    q = entry.get("q")
+    if not (q is None or q == "inf" or (_is_real(q) and q >= 1)):
+        raise ConfigError(f'q must be a number >= 1, null or "inf", not {q!r}')
 
 
 def config_args(config: dict, names: dict) -> dict:

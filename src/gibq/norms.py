@@ -36,6 +36,9 @@ FAMILIES = (
     "wiener_amalgam",
 )
 
+# The families that apply to InitialPair inputs only.
+PAIR_FAMILIES = ("sobolev_pair", "wiener_pair")
+
 _LINF_OVERSAMPLE = 8
 
 
@@ -119,7 +122,7 @@ def norm(obj, spec: NormSpec) -> float:
         return norm(obj.u0, comp) + norm(obj.u1, comp)
 
     f: SpectralField = obj
-    if spec.family in ("sobolev_pair", "wiener_pair"):
+    if spec.family in PAIR_FAMILIES:
         raise ValueError(f"{spec.family} applies to InitialPair inputs")
     if f.nnz == 0:
         return 0.0

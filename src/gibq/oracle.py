@@ -36,7 +36,8 @@ import numpy as np
 
 from .construction import CUBE_CENTERS, BumpData
 from .errors import CapacityError, TruncationTailError
-from .flow import DEFAULT_DEGREE, InitialPair, Trajectory, chebyshev_nodes, stable_sinc
+from .flow import (DEFAULT_DEGREE, InitialPair, Trajectory, check_node_degree,
+                   chebyshev_nodes, stable_sinc)
 from .lattice import (FrequencyLattice, SpectralField, _fft_length, convolve,
                       lambda_symbol, merge_terms)
 
@@ -148,9 +149,10 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
     """Integrate the Fourier-side system; returns (Trajectory, diagnostics).
 
     The data must be real: a pair that is not exactly Hermitian raises
-    ValueError.  The solution then stays real, and the state holds only
-    the modes 0..K of the block |xi| <= K = support_closure; the full
-    block is formed by mirroring at the output nodes.  The first stage of
+    ValueError, as does a node_degree below 1.  The solution then stays
+    real, and the state holds only the modes 0..K of the block
+    |xi| <= K = support_closure; the full block is formed by mirroring at
+    the output nodes.  The first stage of
     each step forms the whole power, on 2kK + 1 samples, and monitors the
     l2 fraction of it that falls outside the block; max_tail_fraction is
     the maximum over step starts.  Stages 2-4 form only the power's modes
@@ -173,6 +175,7 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
     """
     if dt <= 0 or dt > horizon / 100.0:
         raise ValueError("dt must be positive and at most horizon/100")
+    check_node_degree(node_degree)
     if not pair.is_hermitian(0.0):
         raise ValueError("rk4_solve needs real data: an exactly Hermitian pair")
     lattice = pair.lattice

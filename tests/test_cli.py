@@ -149,7 +149,7 @@ def test_inflate_rejects_a_value_of_the_wrong_type(tmp_path, capsys, key, value)
 
 @pytest.mark.parametrize("key,value", [
     ("s", "x"), ("k", "2"), ("n", "1"), ("seed", [3]), ("p", "16"),
-    ("delta", "0.25"), ("base_amplitude", False),
+    ("delta", "0.25"), ("base_amplitude", False), ("bump", "no"),
 ])
 def test_solve_rejects_a_value_of_the_wrong_type(tmp_path, capsys, key, value):
     config = {"k": 2, "s": -0.75, "delta": 0.25, "n": 1, "seed": 3}
@@ -165,6 +165,99 @@ def test_integral_floats_and_null_defaults_pass_the_key_check():
     config = dict(_SWEEP, N_list=[256.0, 1e3], seed=1.0, sigma=None,
                   delta=None)
     assert validate_config(config) is config
+
+
+_SOLVE = {"k": 2, "s": -0.75, "delta": 0.25, "n": 1, "seed": 3}
+
+
+# a p of 0 reports the data at t = 0 as the state at T, numpy rejects a
+# negative seed, and run_inflation needs J >= 2: each exited 1 (inflate
+# with an error row per point) or, for p, 0 with wrong numbers
+@pytest.mark.parametrize("command,key,value", [
+    ("inflate", "p", 0), ("inflate", "seed", -1), ("inflate", "J", 1),
+    ("solve", "p", 0), ("solve", "seed", -1),
+])
+def test_a_value_below_its_least_is_a_config_error(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_SWEEP if command == "inflate" else _SOLVE,
+                                   **{key: value})))
+    args = ["--out", str(tmp_path / "runs")] if command == "inflate" else []
+    assert run([command, "--config", str(cfg)] + args) == 2
+    assert f"config error: {key} must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"family": "sobolev", "q": "x"}, "q must be"),
+    ({"family": "fourier_lebesgue", "q": 0.5}, "q must be"),
+    ({"family": "besov"}, "family must be one of"),
+    ({"family": "sobolev_pair"}, "family must be one of"),
+    ({"family": "wiener_pair"}, "family must be one of"),
+    ({"family": "sobolev", "qq": 3}, "unknown family keys"),
+])
+def test_inflate_rejects_a_bad_family_before_any_point_runs(tmp_path, capsys, monkeypatch,
+                                                             entry, message):
+    from gibq import harness
+
+    monkeypatch.setattr(harness, "run_inflation", _capture)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_SWEEP, families=[{"family": "sobolev"}, entry])))
+    assert run(["inflate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_family_q_may_be_a_number_null_or_inf():
+    from gibq.harness import validate_config
+
+    families = [{"family": "fourier_lebesgue", "q": 1}, {"family": "modulation", "q": 2.5},
+                {"family": "wiener_amalgam", "q": None}, {"family": "fourier_lebesgue", "q": "inf"},
+                {"family": "w_s2inf"}]
+    validate_config(dict(_SWEEP, families=families))
+
+
+def _signature_defaults(names: dict) -> dict:
+    """Config values that write out run_inflation's defaults of the
+    parameters that names maps config keys to."""
+    import inspect
+
+    from gibq.harness import run_inflation
+
+    params = inspect.signature(run_inflation).parameters
+    return {key: params[name].default for key, name in names.items()}
+
+
+def test_a_sweep_without_its_optional_keys_runs_the_signature_defaults(tmp_path):
+    # at s = -4 and N = 64 the default RK4 (depth 18, 400 steps, tail
+    # tolerance 1e-10) reaches T without a breach in about a second
+    bare = dict(_SWEEP, s=-4.0, delta=0.9, N_list=[64], method="rk4")
+    written = dict(bare, **_signature_defaults({key: key for key in (
+        "base_amplitude", "base_decay", "rk4_depth", "rk4_steps", "rk4_tail_tol")}))
+    outputs = []
+    for i, config in enumerate((bare, written)):
+        cfg, outdir = tmp_path / f"cfg{i}.json", tmp_path / f"runs{i}"
+        cfg.write_text(json.dumps(config))
+        assert run(["inflate", "--config", str(cfg), "--out", str(outdir),
+                    "--dump-reports"]) == 0
+        outputs.append([(outdir / name).read_bytes() for name in ("runs.csv", "run_000.json")])
+    assert outputs[0] == outputs[1]
+    row = dict(zip(*[line.split(",") for line in outputs[0][0].decode().splitlines()]))
+    assert row["error"] == "" and row["solution_hs"] != ""
+
+
+@pytest.mark.parametrize("given", [{}, {"base_amplitude": 0.01}])
+def test_a_solve_without_its_optional_keys_runs_the_signature_defaults(tmp_path, given):
+    bare = dict(_SOLVE, N=256, **given)
+    del bare["n"]
+    written = dict(bare, **_signature_defaults({
+        key: name for key, name in (("p", "degree"), ("base_amplitude", "base_amplitude"),
+                                    ("base_decay", "base_decay")) if key not in given}))
+    outputs = []
+    for i, config in enumerate((bare, written)):
+        cfg = tmp_path / f"solve{i}.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / f"ledger{i}.csv"
+        assert run(["solve", "--config", str(cfg), "--max-gen", "3", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 class _Captured(Exception):

@@ -54,6 +54,14 @@ def test_chebyshev_nodes_span():
     assert chebyshev_nodes(0, 0.7).tolist() == [0.0]  # the grid of a constant
 
 
+def test_linear_flow_rejects_a_node_degree_below_one(lattice):
+    # degree 0 has the single node t = 0: its value would be the data, not u(T)
+    pair = InitialPair(SpectralField.delta(lattice, 1, 1.0), SpectralField.zero(lattice))
+    with pytest.raises(ValueError, match="node degree"):
+        linear_flow(pair, 0.5, 0)
+    assert linear_flow(pair, 0.5, 1).nodes.tolist() == [0.0, 0.5]
+
+
 def test_barycentric_reproduces_closed_form(lattice):
     pair = InitialPair(hermitian_field(lattice, 3, 8), hermitian_field(lattice, 4, 8))
     traj = linear_flow(pair, 0.9, 16)

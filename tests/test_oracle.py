@@ -211,6 +211,13 @@ def test_rk4_dt_guard(lattice):
         rk4_solve(pair, 1.0, 0.5, 8, k=2)
 
 
+def test_rk4_rejects_a_node_degree_below_one(lattice):
+    pair = InitialPair(SpectralField.delta(lattice, 1, 1.0),
+                       SpectralField.zero(lattice))
+    with pytest.raises(ValueError, match="node degree"):
+        rk4_solve(pair, 1.0, 1e-2, 8, k=2, node_degree=0)
+
+
 def test_solver_paths_agree_on_line_lattice():
     # the dual-measure weight enters convolution, Duhamel and the ODE
     # consistently, so the independent paths agree off the unit torus too
