@@ -134,6 +134,8 @@ _SWEEP = {"k": 2, "s": -0.75, "delta": 0.25, "N_list": [256],
           "families": [{"family": "sobolev"}], "seed": 1, "J": 2, "p": 12,
           "method": "none"}
 
+_SOLVE = {"k": 2, "s": -0.75, "delta": 0.25, "n": 1, "seed": 3}
+
 
 @pytest.mark.parametrize("key,value", [
     ("s", "x"), ("k", "2"), ("N_list", [256, "1024"]), ("N_list", 256),
@@ -152,9 +154,8 @@ def test_inflate_rejects_a_value_of_the_wrong_type(tmp_path, capsys, key, value)
     ("delta", "0.25"), ("base_amplitude", False), ("bump", "no"),
 ])
 def test_solve_rejects_a_value_of_the_wrong_type(tmp_path, capsys, key, value):
-    config = {"k": 2, "s": -0.75, "delta": 0.25, "n": 1, "seed": 3}
     cfg = tmp_path / "solve.json"
-    cfg.write_text(json.dumps(dict(config, **{key: value})))
+    cfg.write_text(json.dumps(dict(_SOLVE, **{key: value})))
     assert run(["solve", "--config", str(cfg)]) == 2
     assert f"config error: {key} must be" in capsys.readouterr().err
 
@@ -165,9 +166,6 @@ def test_integral_floats_and_null_defaults_pass_the_key_check():
     config = dict(_SWEEP, N_list=[256.0, 1e3], seed=1.0, sigma=None,
                   delta=None)
     assert validate_config(config) is config
-
-
-_SOLVE = {"k": 2, "s": -0.75, "delta": 0.25, "n": 1, "seed": 3}
 
 
 # a p of 0 reports the data at t = 0 as the state at T, numpy rejects a
