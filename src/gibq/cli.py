@@ -3,7 +3,9 @@
 Subcommands: trees, construct, solve, norms, oracle, inflate, verify-all.
 Exit codes: 0 success, 1 computational failure, 2 configuration error.
 Output files are written atomically (temp file + rename) and are
-byte-identical across re-runs with the same configuration.
+byte-identical across re-runs with the same configuration.  `inflate`
+runs its points on one thread per point, up to the CPUs this process may
+use (harness.sweep), which no setting changes and no output byte shows.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_inflate(args) -> int:
     config = validate_config(_load_config(args.config))
-    reports, csv_text, manifest = sweep(config, threads=args.threads)
+    reports, csv_text, manifest = sweep(config)
     outdir = args.out
     _atomic_write(os.path.join(outdir, "runs.csv"), csv_text)
     _atomic_write(os.path.join(outdir, "manifest.json"),
@@ -246,9 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version",
                         version=f"gibq {__version__} (schema {SCHEMA_VERSION})")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="work pool cap (0 = serial); GIBQ_THREADS "
-                             "overrides; sweeps are deterministic regardless")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trees", help="tree count table and growth constant")
@@ -321,8 +320,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, matching our contract
         return int(exc.code or 0)
-    if "GIBQ_THREADS" in os.environ:
-        args.threads = int(os.environ["GIBQ_THREADS"])
     try:
         return args.func(args)
     except ConfigError as exc:

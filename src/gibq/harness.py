@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import oracle
 from .construction import (
     CUBE_CENTERS,
     CUBE_SEPARATION,
@@ -456,16 +457,17 @@ _REAL_KEYS = {"s", "sigma", "delta", "base_amplitude", "base_decay",
               "rk4_tail_tol"}
 _BOOLEAN_KEYS = {"bump"}
 # The least value of an integer key: a node degree p of 0 is the single
-# node t = 0, numpy's generators take no negative seed, and run_inflation
-# needs the series generations 0..J for J >= 2.
-_MINIMUMS = {"p": 1, "seed": 0, "J": 2}
+# node t = 0, numpy's generators take no negative seed, run_inflation
+# needs the series generations 0..J for J >= 2, the schedule an arity k of
+# at least 2, and rk4_solve a step T / rk4_steps of at most T / 100.
+_MINIMUMS = {"p": 1, "seed": 0, "J": 2, "k": 2, "rk4_steps": 100}
 
 
 def check_keys(config, known: set, required: set, index_keys: tuple):
     """ConfigError unless config is an object of known keys with all the
     required ones, exactly one of the two index_keys, numbers where
     numbers are read, booleans where booleans are, values at least the
-    _MINIMUMS of their keys and s < 0."""
+    _MINIMUMS of their keys, no empty index list and s < 0."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(config) - known
@@ -482,6 +484,8 @@ def check_keys(config, known: set, required: set, index_keys: tuple):
         if key in _INTEGER_LIST_KEYS and not (
                 isinstance(value, list) and all(map(_is_integer, value))):
             raise ConfigError(f"{key} must be a list of integers")
+        if key in _INTEGER_LIST_KEYS and not value:
+            raise ConfigError(f"{key} must hold at least one point")
         if key in _REAL_KEYS and not (_is_real(value) or (
                 value is None and key in ("sigma", "delta"))):
             raise ConfigError(f"{key} must be a number, not {value!r}")
@@ -572,12 +576,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def sweep(config: dict, threads: int = 0):
+def sweep(config: dict):
     """Run the configured sweep; returns (reports, csv_text, manifest).
 
-    threads > 1 runs sweep points in a thread pool (the heavy work releases
-    the GIL inside the FFTs); outputs are assembled in config order either
-    way, so the CSV bytes are independent of parallelism.
+    The points run on min(points, oracle._usable_cpus()) threads: in a
+    pool when that is above one (the heavy work releases the GIL inside
+    the FFTs), on the calling thread otherwise.  Outputs are assembled in
+    config order either way, so their bytes do not depend on the CPUs.
+    The RK4 partner worker of each point runs only while the solves in
+    progress leave it a CPU (oracle._pair).
     """
     config = validate_config(config)
     kind = "n" if "n_list" in config else "N"
@@ -604,7 +611,8 @@ def sweep(config: dict, threads: int = 0):
         except (GibqError, ValueError) as exc:
             return None, exc
 
-    if threads and threads > 1 and len(indices) > 1:
+    threads = min(len(indices), oracle._usable_cpus())
+    if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -92,13 +92,12 @@ class BandPartition:
 def band_partition(f: SpectralField) -> BandPartition:
     if f.nnz == 0:
         return BandPartition(bands={})
+    # xi is strictly increasing, so the band indices never decrease and
+    # each band is one run of the support
     n = band_index(f.lattice.dual_points(f.xi))
-    # a stable sort keeps each band's indices ascending
-    order = np.argsort(n, kind="stable").astype(np.int64)
-    bands, starts = np.unique(n[order], return_index=True)
-    return BandPartition(
-        bands={int(b): ix for b, ix in zip(bands, np.split(order, starts[1:]))}
-    )
+    bands, starts = np.unique(n, return_index=True)
+    runs = np.split(np.arange(n.size, dtype=np.int64), starts[1:])
+    return BandPartition(bands={int(b): ix for b, ix in zip(bands, runs)})
 
 
 def norm(obj, spec: NormSpec) -> float:

@@ -169,11 +169,14 @@ def test_integral_floats_and_null_defaults_pass_the_key_check():
 
 
 # a p of 0 reports the data at t = 0 as the state at T, numpy rejects a
-# negative seed, and run_inflation needs J >= 2: each exited 1 (inflate
-# with an error row per point) or, for p, 0 with wrong numbers
+# negative seed, run_inflation needs J >= 2, the schedule k >= 2 and
+# rk4_solve a step of at most T/100: each exited 1 (inflate with an error
+# row per point, or with a ZeroDivisionError for an rk4_steps of 0 under
+# RK4) or, for p and for rk4_steps under the other methods, 0
 @pytest.mark.parametrize("command,key,value", [
     ("inflate", "p", 0), ("inflate", "seed", -1), ("inflate", "J", 1),
-    ("solve", "p", 0), ("solve", "seed", -1),
+    ("inflate", "k", 1), ("inflate", "rk4_steps", 0), ("inflate", "rk4_steps", 50),
+    ("solve", "p", 0), ("solve", "seed", -1), ("solve", "k", 1),
 ])
 def test_a_value_below_its_least_is_a_config_error(tmp_path, capsys, command, key, value):
     cfg = tmp_path / "cfg.json"
@@ -182,6 +185,20 @@ def test_a_value_below_its_least_is_a_config_error(tmp_path, capsys, command, ke
     args = ["--out", str(tmp_path / "runs")] if command == "inflate" else []
     assert run([command, "--config", str(cfg)] + args) == 2
     assert f"config error: {key} must be at least" in capsys.readouterr().err
+
+
+def test_an_empty_index_list_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # an empty list ran no point, exited 0 and wrote a header-only runs.csv
+    from gibq import harness
+
+    monkeypatch.setattr(harness, "run_inflation", _capture)
+    for key in ("N_list", "n_list"):
+        config = {k: v for k, v in _SWEEP.items() if k != "N_list"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(config, **{key: []})))
+        assert run(["inflate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+        assert f"config error: {key} must hold at least one point" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("entry,message", [

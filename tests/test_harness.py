@@ -1,12 +1,13 @@
 import json
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gibq import harness
+from gibq import harness, oracle
 from gibq.construction import make_bump, sample_base_data, schedule_from_N
 from gibq.errors import ConfigError, SeriesDivergenceError
 from gibq.flow import InitialPair, duhamel, linear_flow
@@ -265,17 +266,6 @@ def test_beyond_threshold_config_is_the_large_scale_point():
     assert config["families"] == [{"family": "fourier_lebesgue", "q": 1}]
 
 
-def test_empty_sweep_has_header():
-    cfg = dict(BASE_CONFIG)
-    cfg["N_list"] = []
-    reports, csv_text, manifest = sweep(cfg)
-    assert reports == []
-    lines = csv_text.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("index_kind,index,N,R,T")
-    assert manifest["rows"] == 0
-
-
 def test_sweep_rows_and_determinism():
     reports, csv1, man1 = sweep(dict(BASE_CONFIG))
     _, csv2, man2 = sweep(dict(BASE_CONFIG))
@@ -295,13 +285,14 @@ def test_sweep_isolates_failures():
     assert "ValueError" in csv_text
 
 
-@pytest.mark.parametrize("threads", [0, 2])
-def test_sweep_rows_package_errors_and_raises_bugs(monkeypatch, threads):
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_sweep_rows_package_errors_and_raises_bugs(monkeypatch, cpus):
     def diverging(params, **kwargs):
         raise SeriesDivergenceError("ledger not decaying", [1.5])
 
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(harness, "run_inflation", diverging)
-    reports, csv_text, _ = sweep(dict(BASE_CONFIG), threads=threads)
+    reports, csv_text, _ = sweep(dict(BASE_CONFIG))
     assert reports == [None, None]
     assert csv_text.count("SeriesDivergenceError: ledger not decaying") == 2
 
@@ -312,29 +303,52 @@ def test_sweep_rows_package_errors_and_raises_bugs(monkeypatch, threads):
 
     monkeypatch.setattr(harness, "run_inflation", buggy)
     with pytest.raises(TypeError, match="a bug"):
-        sweep(dict(BASE_CONFIG), threads=threads)
+        sweep(dict(BASE_CONFIG))
 
 
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_sweep_threads_and_rk4_workers_give_the_same_bytes(monkeypatch, cpus):
-    # sweep threads, each with its own RK4 partner worker; on two CPUs a
-    # solve leaves its worker idle while the other sweep point also solves
-    from gibq import oracle
-
+    # one CPU: both points and their RK4 stages on the calling thread;
+    # more: sweep threads, each with its own RK4 partner worker, and on two
+    # CPUs a solve leaves its worker idle while the other point also solves
     monkeypatch.setattr(oracle, "_PAIR_MIN_MODES", 0)
-    monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
     cfg = dict(BASE_CONFIG, method="rk4", rk4_depth=2, rk4_steps=100,
                rk4_tail_tol=1e9)
-    reports, serial, _ = sweep(dict(cfg), threads=0)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+    reports, serial, _ = sweep(dict(cfg))
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
     # four threads on at most two cores, switching often
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        _, pooled, _ = sweep(dict(cfg), threads=2)
+        _, pooled, _ = sweep(dict(cfg))
     finally:
         sys.setswitchinterval(interval)
     assert all(r is not None for r in reports)
     assert pooled == serial
+
+
+def test_sweep_runs_one_thread_per_point_up_to_the_usable_cpus(monkeypatch):
+    callers = []
+
+    def record(params, **kwargs):
+        callers.append(threading.get_ident())
+        meeting.wait()
+        raise SeriesDivergenceError("recorded", [1.5])
+
+    monkeypatch.setattr(harness, "run_inflation", record)
+    # both points must be in run_inflation at once, so each has a thread
+    meeting = threading.Barrier(2, timeout=30)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    sweep(dict(BASE_CONFIG))
+    assert len(set(callers)) == 2
+    assert threading.get_ident() not in callers
+
+    callers.clear()
+    meeting = threading.Barrier(1)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+    sweep(dict(BASE_CONFIG))
+    assert callers == [threading.get_ident()] * 2
 
 
 def test_config_hash_stable():
