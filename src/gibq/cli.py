@@ -191,8 +191,9 @@ def _cmd_oracle(args) -> int:
         return 0
     if args.mode == "rk4":
         closure = closure_from_depth(bump.phi, params.k, depth=args.depth)
-        traj, diag = rk4_solve(bump.phi, params.T, params.T / args.steps,
-                               closure, k=params.k, tail_tol=args.tail_tol)
+        _, diag = rk4_solve(bump.phi, params.T, params.T / args.steps,
+                            closure, k=params.k, tail_tol=args.tail_tol,
+                            trajectory=False)
         lines = ["t,l2_u,l2_v"]
         for t, l2u, l2v in diag.l2_history:
             lines.append(f"{t!r},{l2u!r},{l2v!r}")

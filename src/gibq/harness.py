@@ -382,16 +382,15 @@ def run_inflation(params: InflationParams,
         solution_field = traj.field(-1)
     elif method == "rk4":
         closure = closure_from_depth(data, params.k, depth=rk4_depth)
-        traj, diag = rk4_solve(data, params.T, params.T / rk4_steps,
-                               closure, k=params.k, tail_tol=rk4_tail_tol)
+        solution_field, diag = rk4_solve(
+            data, params.T, params.T / rk4_steps, closure, k=params.k,
+            tail_tol=rk4_tail_tol, trajectory=False)
         if diag.blowup_time is not None:
             solution_norms = {
                 "status": "blow-up before horizon",
                 "blowup_time": diag.blowup_time,
                 "max_tail_fraction": diag.max_tail_fraction,
             }
-        else:
-            solution_field = traj.field(-1)
     elif method == "none":
         pass
     else:

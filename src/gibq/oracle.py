@@ -89,6 +89,15 @@ def _real_buffers(n: int):
     if bufs is None or bufs[0].size < n:
         bufs = (np.empty(n), np.empty(n // 2 + 1, dtype=np.complex128))
         _conv_buffers.pair = bufs
+        # The transforms allocate their own scratch, about 16 bytes a
+        # sample, on every call.  glibc maps a block at or above its mmap
+        # threshold afresh and, when it is freed, raises the threshold to
+        # its size, so the scratch of the longest length would be mapped
+        # afresh on every call: about 273,000 minor page faults in a
+        # desk-scale solve (K = 57,414).  One untouched block of twice
+        # that size, freed at once, lifts the threshold above it (up to
+        # glibc's 32 MiB cap), and the scratch is then reused from the heap.
+        np.empty(32 * n, dtype=np.uint8)
     return bufs[0][:n], bufs[1][: n // 2 + 1]
 
 
@@ -145,8 +154,12 @@ def _sum_squares(x: np.ndarray) -> float:
 def rk4_solve(pair: InitialPair, horizon: float, dt: float,
               support_closure: int, k: int = 2, nonlinear: bool = True,
               node_degree: int = DEFAULT_DEGREE, tail_tol: float = TAIL_TOL,
-              _retry: bool = True) -> tuple:
-    """Integrate the Fourier-side system; returns (Trajectory, diagnostics).
+              _retry: bool = True, *, trajectory: bool = True) -> tuple:
+    """Integrate the Fourier-side system; returns (Trajectory, diagnostics),
+    or with trajectory=False (final, diagnostics), where final is the
+    SpectralField at the horizon, as the Trajectory's field(-1), or None
+    after a blow-up.  The final-only solve keeps no nodes x (2K + 1)
+    matrix: each node's state is mirrored into one reused block row.
 
     The data must be real: a pair that is not exactly Hermitian raises
     ValueError, as does a node_degree below 1.  The solution then stays
@@ -184,18 +197,21 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
         if comp.nnz and int(np.max(np.abs(comp.xi))) > K:
             raise ValueError("initial support exceeds the closure")
     nodes = chebyshev_nodes(node_degree, horizon)
-    # one row per node; nodes at and after a blow-up stay zero
-    values = np.zeros((nodes.size, 2 * K + 1), dtype=np.complex128)
     # u's modes 0..K are stepped in place at the head of a block that is
     # zero up to the power's modes kK, so each step start passes it whole;
     # v holds the modes 0..K of the velocity
     padded = np.zeros(k * K + 1 if nonlinear else K + 1, dtype=np.complex128)
     u = padded[: K + 1]
     v = np.zeros(K + 1, dtype=np.complex128)
-    values[0][pair.u0.xi + K] = pair.u0.c
-    u[:] = values[0][K:]
-    ahead = pair.u1.xi >= 0
-    v[pair.u1.xi[ahead]] = pair.u1.c[ahead]
+    for comp, half in ((pair.u0, u), (pair.u1, v)):
+        ahead = comp.xi >= 0
+        half[comp.xi[ahead]] = comp.c[ahead]
+    # the block -K..K of one node, for its l2 sums and the final field
+    row = np.empty(2 * K + 1, dtype=np.complex128)
+    if trajectory:
+        # one row per node; nodes at and after a blow-up stay zero
+        values = np.zeros((nodes.size, 2 * K + 1), dtype=np.complex128)
+        values[0][pair.u0.xi + K] = pair.u0.c
 
     lam = lambda_symbol(np.arange(K + 1), lattice)
     neg_lam2 = -(lam * lam)
@@ -265,24 +281,32 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
             t = float(target)
             if diag.blowup_time is not None:
                 break
-            values[i] = _mirror(u)
-            diag.l2_history.append((t, _scaled_l2(values[i]), _scaled_l2(_mirror(v))))
+            if trajectory:
+                _mirror(u, values[i])
+            diag.l2_history.append((t, _scaled_l2(u, row), _scaled_l2(v, row)))
             if diag.max_tail_fraction > tail_tol:
                 break
     if diag.blowup_time is None and diag.max_tail_fraction > tail_tol:
         if _retry:
-            traj, inner = rk4_solve(
+            result, inner = rk4_solve(
                 pair, horizon, dt, 2 * K, k=k, nonlinear=nonlinear,
                 node_degree=node_degree, tail_tol=tail_tol, _retry=False,
+                trajectory=trajectory,
             )
             inner.enlarged = True
-            return traj, inner
+            return result, inner
         raise TruncationTailError(
             f"truncation tail {diag.max_tail_fraction:.3g} above "
-            f"{tail_tol:g} even after enlarging the closure"
+            f"{tail_tol:g} even after enlarging the closure to K = {K}; "
+            f"raise rk4_tail_tol in a config or --tail-tol for gibq oracle"
         )
-    return Trajectory.from_rows(lattice, horizon, nodes, np.arange(-K, K + 1),
-                                values), diag
+    if trajectory:
+        return Trajectory.from_rows(lattice, horizon, nodes,
+                                    np.arange(-K, K + 1), values), diag
+    if diag.blowup_time is not None:
+        return None, diag
+    live = np.flatnonzero(_mirror(u, row))
+    return SpectralField(lattice, live - K, row[live]), diag
 
 
 # Smallest K at which a solve runs each round's second forcing on a worker
@@ -354,18 +378,25 @@ def _quietly(task) -> None:
         task()
 
 
-def _mirror(half: np.ndarray) -> np.ndarray:
-    """The block -K..K of the real field with modes half = 0..K."""
-    return np.concatenate([half[:0:-1].conj(), half])
+def _mirror(half: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into out, and return it, the block -K..K of the real field
+    with modes half = 0..K."""
+    K = half.size - 1
+    np.conjugate(half[:0:-1], out=out[:K])
+    out[K:] = half
+    return out
 
 
-def _scaled_l2(x: np.ndarray) -> float:
-    """l2 norm as max|x| * ||x / max|x|||: the sum of squares of a finite
-    state near the float64 range overflows, the scaled one cannot."""
-    scale = float(np.max(np.abs(x)))
+def _scaled_l2(half: np.ndarray, row: np.ndarray) -> float:
+    """l2 norm of the block x = -K..K of the real field with modes
+    half = 0..K, as max|x| * ||x / max|x|||: the sum of squares of a finite
+    state near the float64 range overflows, the scaled one cannot.  x is
+    mirrored into row and scaled there; max|x| is max|half|."""
+    scale = float(np.max(np.abs(half)))
     if scale == 0.0 or not math.isfinite(scale):
         return scale
-    return scale * math.sqrt(_sum_squares(x / scale))
+    np.divide(_mirror(half, row), scale, out=row)
+    return scale * math.sqrt(_sum_squares(row))
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,51 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+PARENT = [100.0, 101.0, 102.0, 100.5, 101.5, 100.2, 101.8, 100.9, 101.2, 100.7]
+
+
+def test_quartiles_of_ten_runs():
+    assert bench_pairs.quartiles(list(range(1, 11))) == pytest.approx((3.25, 5.5, 7.75))
+    assert bench_pairs.quartiles([4.0]) == (4.0, 4.0, 4.0)
+
+
+def test_gain_needs_nine_in_ten_wins_and_a_gap_above_the_parent_iqr():
+    change = [74.0 + 0.1 * i for i in range(10)]
+    assert bench_pairs.wins(PARENT, change, "lower") == 10
+    assert bench_pairs.gain_holds(PARENT, change, "lower")
+    # one lost pair of ten still holds; two do not
+    one_lost = change[:9] + [200.0]
+    assert bench_pairs.gain_holds(PARENT, one_lost, "lower")
+    two_lost = change[:8] + [200.0, 200.0]
+    assert bench_pairs.wins(PARENT, two_lost, "lower") == 8
+    assert not bench_pairs.gain_holds(PARENT, two_lost, "lower")
+    # every pair won, by less than the parent's interquartile range
+    close = [p - 0.01 for p in PARENT]
+    assert bench_pairs.wins(PARENT, close, "lower") == 10
+    assert not bench_pairs.gain_holds(PARENT, close, "lower")
+    # ties count for neither side
+    assert bench_pairs.wins(PARENT, PARENT, "lower") == 0
+    # where higher is better the same numbers are a loss
+    assert not bench_pairs.gain_holds(PARENT, change, "higher")
+    assert bench_pairs.gain_holds(change, PARENT, "higher")
+
+
+def test_verdict_against_the_bound():
+    assert bench_pairs.verdict(PARENT, [p * 1.05 for p in PARENT],
+                               "lower", 0.1) == "within bound"
+    assert bench_pairs.verdict(PARENT, [p * 1.2 for p in PARENT],
+                               "lower", 0.1) == "worse"
+    assert bench_pairs.verdict(PARENT, [p * 0.8 for p in PARENT],
+                               "higher", 0.1) == "worse"
+    # a spread wider than the bound leaves a small move unresolved
+    wide = [50.0, 150.0] * 5
+    assert bench_pairs.verdict(wide, wide, "lower", 0.25) == "unresolved"
+    # unless every change run beats every parent run
+    assert bench_pairs.verdict(wide, [10.0, 40.0] * 5, "lower", 0.25) == "within bound"

@@ -1,10 +1,13 @@
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from gibq import cli as cli_module
+from gibq import harness as harness_module
 from gibq import lattice as lattice_module
 from gibq import oracle as oracle_module
 from gibq.construction import make_bump, schedule, schedule_from_N
@@ -333,7 +336,9 @@ def test_rk4_leaves_no_worker_thread_behind(monkeypatch, lattice):
         assert threading.active_count() == before
     wide = InitialPair(hermitian_field(lattice, 5, 24, amplitude=0.8),
                        hermitian_field(lattice, 55, 24, amplitude=0.8))
-    with pytest.raises(TruncationTailError):
+    with pytest.raises(TruncationTailError,
+                       match="closure to K = 60; raise rk4_tail_tol in a "
+                             "config or --tail-tol for gibq oracle"):
         rk4_solve(wide, 0.5, 0.5 / 200, 30, k=2, tail_tol=1e-10)
     assert threading.active_count() == before
     with pytest.raises(ValueError, match="closure"):
@@ -341,6 +346,67 @@ def test_rk4_leaves_no_worker_thread_behind(monkeypatch, lattice):
     assert threading.active_count() == before
     assert threads
     assert oracle_module._running == 0
+
+
+@pytest.mark.parametrize("case", ["blowup", "k3", "linear", "retry"])
+def test_rk4_final_state_is_the_trajectory_last_node(lattice, case):
+    pair, horizon, dt, K, kwargs = _rk4_cases(lattice)[case]
+    traj, diag = rk4_solve(pair, horizon, dt, K, **kwargs)
+    final, fdiag = rk4_solve(pair, horizon, dt, K, trajectory=False, **kwargs)
+    if case == "blowup":
+        assert diag.blowup_time is not None
+        assert final is None
+    else:
+        last = traj.field(-1)
+        assert final.lattice is last.lattice
+        assert final.xi.tobytes() == last.xi.tobytes()
+        assert final.c.tobytes() == last.c.tobytes()
+    for name in ("closure", "enlarged", "blowup_time", "max_tail_fraction",
+                 "l2_history"):
+        assert getattr(fdiag, name) == getattr(diag, name)
+
+
+def test_program_callers_of_rk4_keep_only_the_end_state(monkeypatch, tmp_path):
+    asked = []
+
+    def spy(*args, **kwargs):
+        asked.append(kwargs.get("trajectory", True))
+        return rk4_solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness_module, "rk4_solve", spy)
+    monkeypatch.setattr(cli_module, "rk4_solve", spy)
+    params = schedule_from_N(256, 2, -0.75, delta_hint=0.25)
+    report = harness_module.run_inflation(
+        params, max_gen=2, degree=12, method="rk4", rk4_depth=2,
+        rk4_steps=100, rk4_tail_tol=1e9)
+    assert report.solution_norms["status"] == "blow-up before horizon"
+    out = tmp_path / "rk4.csv"
+    assert cli_module.main(["oracle", "--mode", "rk4", "--depth", "2",
+                            "--steps", "100", "--tail-tol", "1e9",
+                            "--out", str(out)]) == 0
+    assert out.read_text().startswith("t,l2_u,l2_v")
+    assert asked == [False, False]
+
+
+def test_rk4_final_only_solve_keeps_no_node_matrix(lattice):
+    # K below _PAIR_MIN_MODES: no worker thread allocates beside the solve
+    K = 3000
+    pair = InitialPair(hermitian_field(lattice, 62, 6, amplitude=0.5),
+                       hermitian_field(lattice, 63, 6, amplitude=0.5))
+    matrix = chebyshev_nodes(oracle_module.DEFAULT_DEGREE, 0.5).size * (2 * K + 1) * 16
+    # the first solve allocates this thread's transform buffers, which
+    # later solves reuse, so the peaks below are those of the solve itself
+    rk4_solve(pair, 0.5, 0.5 / 200, K, k=2, tail_tol=math.inf, trajectory=False)
+    peaks = {}
+    for trajectory in (False, True):
+        tracemalloc.start()
+        try:
+            rk4_solve(pair, 0.5, 0.5 / 200, K, k=2, tail_tol=math.inf,
+                      trajectory=trajectory)
+            peaks[trajectory] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[False] < matrix < peaks[True]
 
 
 def test_rk4_runs_inline_while_the_solves_outnumber_the_cpu_pairs(monkeypatch, lattice):
