@@ -14,8 +14,8 @@ import argparse
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from . import __version__
 from .construction import initial_data, make_bump, schedule
 from .errors import ConfigError, GibqError
 from .flow import InitialPair
-from .harness import SCHEMA_VERSION, _fmt, check_keys, config_args, point_params, sweep, validate_config
+from .harness import (SCHEMA_VERSION, check_keys, config_args, csv_text, point_params,
+                      sweep, validate_config)
 from .lattice import FrequencyLattice, SpectralField
 from .norms import NormSpec, check_algebra, check_embeddings, norm
 from .oracle import (
@@ -34,13 +35,17 @@ from .oracle import (
     xi1_closed_form,
 )
 from .series import FIXED_POINT_TOL, fixed_point, partial_sum
-from .trees import count_table_csv
+from .trees import count_trees, verify_count_bound
 
 
 def _atomic_write(path: str, text: str):
+    """Write text to path through a temp file in its directory and a
+    rename.  The temp file is created as open(path, "w") creates a file,
+    so the output's mode follows the umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gibq-")
+    tmp = os.path.join(directory, f".gibq-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -58,12 +63,19 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _json_text(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
 def _cmd_trees(args) -> int:
-    _emit(count_table_csv(args.arity, args.max_gen), args.out)
+    table = count_trees(args.arity, args.max_gen)
+    c0, holds = verify_count_bound(args.arity, args.max_gen)
+    rows = [(j, table[j], holds[j]) for j in range(args.max_gen + 1)]
+    _emit(csv_text(["j", "count", "bound_holds"], rows + [("C0", c0, True)]), args.out)
     return 0
 
 
@@ -73,10 +85,10 @@ def _cmd_construct(args) -> int:
     bump = make_bump(params)
     doc = {
         "params": params.as_dict(),
-        "phi": json.loads(bump.phi.u0.to_json()),
+        "phi": bump.phi.u0.to_doc(),
         "omega_support": [int(x) for x in bump.omega_support],
     }
-    _emit(json.dumps(doc, sort_keys=True, indent=1) + "\n", args.out)
+    _emit(_json_text(doc), args.out)
     return 0
 
 
@@ -107,16 +119,12 @@ def _cmd_solve(args) -> int:
     degree = config_args(config, {"p": "degree"})
     if args.method == "series":
         acc = partial_sum(data, params.k, args.max_gen, params.T, **degree)
-        ledger = acc.ledger
-        ratios = [""] + [repr(r) for r in acc.ratios()]
+        ledger, ratios = acc.ledger, [None] + acc.ratios()
     else:
         traj = fixed_point(data, params.k, params.T, FIXED_POINT_TOL, **degree)
-        ledger = [traj.sup_l1()]
-        ratios = [""]
-    lines = ["j,sup_l1,ratio"]
-    for j, value in enumerate(ledger):
-        lines.append(f"{j},{value!r},{ratios[j]}")
-    _emit("\n".join(lines) + "\n", args.out)
+        ledger, ratios = [traj.sup_l1()], [None]
+    rows = [(j, value, ratios[j]) for j, value in enumerate(ledger)]
+    _emit(csv_text(["j", "sup_l1", "ratio"], rows), args.out)
     return 0
 
 
@@ -147,15 +155,11 @@ def _embedding_corpus(count: int, seed: int):
 def _cmd_norms(args) -> int:
     if args.check_embeddings:
         fields = _embedding_corpus(args.corpus_size, seed=args.seed)
-        lines = ["field,check,lhs,rhs,ratio,holds"]
-        for i, f in enumerate(fields):
-            u, v = f, fields[(i + 1) % len(fields)]
-            for m in check_embeddings(f, args.s) + check_algebra(u, v):
-                lines.append(
-                    f"{i},{m.name},{m.lhs!r},{m.rhs!r},{m.ratio!r},"
-                    f"{str(m.holds).lower()}"
-                )
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = [(i, m.name, m.lhs, m.rhs, m.ratio, m.holds)
+                for i, f in enumerate(fields)
+                for m in check_embeddings(f, args.s)
+                + check_algebra(f, fields[(i + 1) % len(fields)])]
+        _emit(csv_text(["field", "check", "lhs", "rhs", "ratio", "holds"], rows), args.out)
         return 0
     if not args.field or not args.spec:
         raise ConfigError("norms requires --field and --spec "
@@ -169,56 +173,46 @@ def _cmd_norms(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.mode == "sandwich":
-        lines = ["A,offset_a,offset_b,lower_constant,upper_constant,holds"]
         offsets = [int(x) for x in args.offsets.split(",")]
+        rows = []
         for a in offsets:
             for b in offsets:
                 rep = convolution_sandwich(a, b, args.A)
-                lines.append(
-                    f"{rep.A},{a},{b},{rep.lower_constant!r},"
-                    f"{rep.upper_constant!r},{str(rep.holds).lower()}"
-                )
-        _emit("\n".join(lines) + "\n", args.out)
+                rows.append((rep.A, a, b, rep.lower_constant, rep.upper_constant, rep.holds))
+        _emit(csv_text(["A", "offset_a", "offset_b", "lower_constant",
+                        "upper_constant", "holds"], rows), args.out)
         return 0
     params = schedule(args.n, args.k, args.s, delta_hint=args.delta)
     bump = make_bump(params)
     if args.mode == "xi1":
         f = xi1_closed_form(bump, params.T)
-        lines = ["xi,re,im"]
-        for x, c in zip(f.xi, f.c):
-            lines.append(f"{int(x)},{float(c.real)!r},{float(c.imag)!r}")
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = [(int(x), float(c.real), float(c.imag)) for x, c in zip(f.xi, f.c)]
+        _emit(csv_text(["xi", "re", "im"], rows), args.out)
         return 0
     if args.mode == "rk4":
         closure = closure_from_depth(bump.phi, params.k, depth=args.depth)
         _, diag = rk4_solve(bump.phi, params.T, params.T / args.steps,
                             closure, k=params.k, tail_tol=args.tail_tol,
                             trajectory=False)
-        lines = ["t,l2_u,l2_v"]
-        for t, l2u, l2v in diag.l2_history:
-            lines.append(f"{t!r},{l2u!r},{l2v!r}")
+        rows = list(diag.l2_history)
         if diag.blowup_time is not None:
-            lines.append(f"blowup_time,{diag.blowup_time!r},")
-        _emit("\n".join(lines) + "\n", args.out)
+            rows.append(("blowup_time", diag.blowup_time, None))
+        _emit(csv_text(["t", "l2_u", "l2_v"], rows), args.out)
         return 0
     raise ConfigError(f"unknown oracle mode {args.mode!r}")
 
 
 def _cmd_inflate(args) -> int:
     config = validate_config(_load_config(args.config))
-    reports, csv_text, manifest = sweep(config)
+    reports, runs_csv, manifest = sweep(config)
     outdir = args.out
-    _atomic_write(os.path.join(outdir, "runs.csv"), csv_text)
-    _atomic_write(os.path.join(outdir, "manifest.json"),
-                  json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    _atomic_write(os.path.join(outdir, "runs.csv"), runs_csv)
+    _atomic_write(os.path.join(outdir, "manifest.json"), _json_text(manifest))
     if args.dump_reports:
         for i, rep in enumerate(reports):
             if rep is None:
                 continue
-            _atomic_write(
-                os.path.join(outdir, f"run_{i:03d}.json"),
-                json.dumps(rep.as_dict(), sort_keys=True, indent=1) + "\n",
-            )
+            _atomic_write(os.path.join(outdir, f"run_{i:03d}.json"), _json_text(rep.as_dict()))
     failures = sum(1 for r in reports if r is None)
     sys.stderr.write(
         f"wrote {len(reports)} runs ({failures} failed) to {outdir}\n"
@@ -230,10 +224,7 @@ def _cmd_verify_all(args) -> int:
     from .verify import verify_all
 
     results = verify_all(quick=args.quick)
-    lines = ["check,value,pass"]
-    for name, value, ok in results:
-        lines.append(f"{name},{_fmt(value)},{str(ok).lower()}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(csv_text(["check", "value", "pass"], results), args.out)
     return 0 if all(ok for _, _, ok in results) else 1
 
 

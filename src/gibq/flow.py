@@ -294,7 +294,7 @@ class Trajectory:
             "version": JSON_VERSION,
             "horizon": self.horizon,
             "nodes": [float(t) for t in self.nodes],
-            "fields": [json.loads(f.to_json()) for f in self.fields],
+            "fields": [f.to_doc() for f in self.fields],
         })
 
     @classmethod

@@ -15,7 +15,9 @@ is still recorded run by run.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -575,8 +577,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def csv_text(header, rows) -> str:
+    """The CSV table of a header and rows, each cell written by _fmt.  The
+    only writer of the tables gibq outputs: a cell that holds a comma, a
+    quote or a line break is quoted, so every row reads back at the
+    header's width."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [_fmt(value) for value in row] for row in [header, *rows])
+    return out.getvalue()
+
+
 def sweep(config: dict):
-    """Run the configured sweep; returns (reports, csv_text, manifest).
+    """Run the configured sweep; returns (reports, runs.csv text, manifest).
 
     The points run on min(points, oracle._usable_cpus()) threads: in a
     pool when that is above one (the heavy work releases the GIL inside
@@ -619,7 +632,7 @@ def sweep(config: dict):
     else:
         outcomes = [one_run(value) for value in indices]
 
-    lines = [",".join(columns)]
+    rows = []
     for value, (report, exc) in zip(indices, outcomes):
         row = {c: None for c in columns}
         row["index_kind"] = kind
@@ -628,8 +641,7 @@ def sweep(config: dict):
             _fill_row(row, report, labels)
         else:
             row["error"] = f"{type(exc).__name__}: {exc}"
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    csv_text = "\n".join(lines) + "\n"
+        rows.append([row[c] for c in columns])
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": config,
@@ -637,7 +649,7 @@ def sweep(config: dict):
         "rows": len(outcomes),
         "columns": columns,
     }
-    return [report for report, _ in outcomes], csv_text, manifest
+    return [report for report, _ in outcomes], csv_text(columns, rows), manifest
 
 
 def _fill_row(row: dict, report: InflationReport, labels: list):

@@ -241,15 +241,18 @@ class SpectralField:
     # serialization
     # ------------------------------------------------------------------
 
-    def to_json(self) -> str:
+    def to_doc(self) -> dict:
+        """The to_json document as a dict; the inverse of from_doc."""
         entries = [
             {"xi": int(x), "re": float(v.real), "im": float(v.imag)}
             for x, v in zip(self.xi, self.c)
         ]
         lat = self.lattice
-        return json.dumps({"version": JSON_VERSION, "period": lat.period,
-                           "kind": lat.kind, "cutoff": lat.cutoff,
-                           "entries": entries})
+        return {"version": JSON_VERSION, "period": lat.period, "kind": lat.kind,
+                "cutoff": lat.cutoff, "entries": entries}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc())
 
     @classmethod
     def from_json(cls, text: str, cutoff: int = 1 << 40, kind: str = "torus") -> "SpectralField":
@@ -571,12 +574,6 @@ class GridField:
     def l2(self) -> float:
         """Mean-square norm matching the frequency-side H^0 norm exactly."""
         return math.sqrt(float(np.mean(self.samples**2)) * self.weight_scale)
-
-    def to_csv(self) -> str:
-        xs = self.period * np.arange(self.size) / self.size
-        lines = ["x,value"]
-        lines += [f"{float(x)!r},{float(v)!r}" for x, v in zip(xs, self.samples)]
-        return "\n".join(lines) + "\n"
 
 
 def _next_pow2(n: int) -> int:

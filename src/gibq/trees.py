@@ -133,13 +133,3 @@ def verify_count_bound(k: int, max_gen: int):
     holds = [table[j] * (1 + j) ** 2 <= c0**j * (1 + 1e-12) for j in range(max_gen + 1)]
     return c0, holds
 
-
-def count_table_csv(k: int, max_gen: int) -> str:
-    """CSV with the count table and the measured growth constant."""
-    table = count_trees(k, max_gen)
-    c0, holds = verify_count_bound(k, max_gen)
-    lines = ["j,count,bound_holds"]
-    for j in range(max_gen + 1):
-        lines.append(f"{j},{table[j]},{str(holds[j]).lower()}")
-    lines.append(f"C0,{c0!r},true")
-    return "\n".join(lines) + "\n"

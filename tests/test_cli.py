@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -12,15 +14,21 @@ def run(args):
     return main(args)
 
 
+def read_rows(path):
+    """The rows of a CSV file, parsed as CSV."""
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))
+
+
 def test_trees_csv(tmp_path, capsys):
     out = tmp_path / "trees.csv"
     assert run(["trees", "--arity", "2", "--max-gen", "6",
                 "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "j,count,bound_holds"
-    counts = [int(l.split(",")[1]) for l in lines[1:-1]]
+    rows = read_rows(out)
+    assert rows[0] == ["j", "count", "bound_holds"]
+    counts = [int(r[1]) for r in rows[1:-1]]
     assert counts == [1, 1, 2, 5, 14, 42, 132]
-    assert lines[-1].startswith("C0,")
+    assert rows[-1][0] == "C0"
 
 
 def test_trees_stdout(capsys):
@@ -106,7 +114,7 @@ def test_solve_divergent_bump_reports_honest_ledger(tmp_path):
     out = tmp_path / "ledger.csv"
     assert run(["solve", "--config", str(cfg), "--max-gen", "2",
                 "--out", str(out)]) == 0
-    rows = [l.split(",") for l in out.read_text().strip().splitlines()[2:]]
+    rows = read_rows(out)[2:]
     assert all(float(r[2]) > 1 for r in rows)
 
 
@@ -254,7 +262,7 @@ def test_a_sweep_without_its_optional_keys_runs_the_signature_defaults(tmp_path)
                     "--dump-reports"]) == 0
         outputs.append([(outdir / name).read_bytes() for name in ("runs.csv", "run_000.json")])
     assert outputs[0] == outputs[1]
-    row = dict(zip(*[line.split(",") for line in outputs[0][0].decode().splitlines()]))
+    row = dict(zip(*csv.reader(outputs[0][0].decode().splitlines())))
     assert row["error"] == "" and row["solution_hs"] != ""
 
 
@@ -407,8 +415,8 @@ def test_verify_all_quick_matches_golden(tmp_path):
     out = tmp_path / "quick.csv"
     assert run(["verify-all", "--quick", "--out", str(out)]) == 0
     golden = Path(__file__).parent / "data" / "verify_all_quick.csv"
-    rows = [line.split(",") for line in out.read_text().splitlines()]
-    ref = [line.split(",") for line in golden.read_text().splitlines()]
+    rows = read_rows(out)
+    ref = read_rows(golden)
     assert [(name, ok) for name, _, ok in rows] == [(name, ok) for name, _, ok in ref]
     eps = sys.float_info.epsilon
     for (name, value, _), (_, expected, _) in zip(rows[1:], ref[1:]):
@@ -416,3 +424,56 @@ def test_verify_all_quick_matches_golden(tmp_path):
             assert abs(float(value) - float(expected)) <= 64 * eps, name
         else:
             assert math.isclose(float(value), float(expected), rel_tol=1e-12, abs_tol=0.0), name
+
+
+def _config(path, base, **changes):
+    path.write_text(json.dumps(dict(base, **changes)))
+    return str(path)
+
+
+# each case: the argv lists of one subcommand, each writing its CSV to
+# --out; only the sweep of bad.json fails (exit 1)
+_CSV_CASES = {
+    "trees": lambda tmp: [["trees", "--arity", "3", "--max-gen", "4"]],
+    "solve": lambda tmp: [
+        ["solve", "--config", _config(tmp / "solve.json", _SOLVE), "--max-gen", "2"],
+        ["solve", "--config", _config(tmp / "fp.json", _SOLVE, bump=False),
+         "--method", "fixed-point"]],
+    "norms": lambda tmp: [["norms", "--check-embeddings", "--corpus-size", "2"]],
+    "oracle": lambda tmp: [
+        ["oracle", "--mode", "sandwich", "--offsets=-1,0,1"],
+        ["oracle", "--mode", "xi1"],
+        ["oracle", "--mode", "rk4", "--steps", "100", "--depth", "2", "--tail-tol", "1e9"]],
+    "verify-all": lambda tmp: [["verify-all", "--quick"]],
+    "inflate": lambda tmp: [
+        ["inflate", "--config", _config(tmp / "good.json", _SWEEP)],
+        ["inflate", "--config", _config(tmp / "bad.json", _SWEEP, delta=5.0)]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CSV_CASES))
+def test_every_csv_reads_back_at_the_header_width(tmp_path, command):
+    errors = []
+    for i, argv in enumerate(_CSV_CASES[command](tmp_path)):
+        out = tmp_path / f"out{i}"
+        assert run(argv + ["--out", str(out)]) == int(argv[-1].endswith("bad.json"))
+        rows = read_rows(out / "runs.csv" if command == "inflate" else out)
+        assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows), argv
+        if command == "inflate":
+            errors.append(rows[1][rows[0].index("error")])
+    if command == "inflate":
+        assert errors == ["", "ValueError: delta_hint 5.0 outside the valid interval (0, 0.5)"]
+
+
+def test_outputs_follow_the_umask_and_leave_no_temp_file(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        assert run(["inflate", "--config", _config(tmp_path / "cfg.json", _SWEEP),
+                    "--out", str(tmp_path / "runs"), "--dump-reports"]) == 0
+        assert run(["trees", "--arity", "2", "--max-gen", "3",
+                    "--out", str(tmp_path / "trees.csv")]) == 0
+    finally:
+        os.umask(umask)
+    written = [tmp_path / "trees.csv"] + sorted((tmp_path / "runs").iterdir())
+    assert [p.name for p in written] == ["trees.csv", "manifest.json", "run_000.json", "runs.csv"]
+    assert all(p.stat().st_mode & 0o777 == 0o640 for p in written)

@@ -367,13 +367,6 @@ def test_json_sorted_by_xi(lattice):
     assert xs == sorted(xs)
 
 
-def test_gridfield_csv(lattice):
-    f = SpectralField.delta(lattice, 0, 1.0)
-    text = synthesize(f).to_csv()
-    assert text.splitlines()[0] == "x,value"
-    assert len(text.splitlines()) == synthesize(f).size + 1
-
-
 def test_field_immutable(lattice):
     f = SpectralField.delta(lattice, 1)
     with pytest.raises(AttributeError):
