@@ -304,33 +304,12 @@ def run_inflation(params: InflationParams,
     }
     perturbation.update(_family_norms(bump.phi, families, params.s))
 
-    # series terms of the full data
-    acc = partial_sum(data, params.k, max_gen, params.T, degree)
-    final = acc.partial.nodes.size - 1
-    term_fields = [t.trajectory.field(final) for t in acc.terms]
-    xi_rows = []
-    for j, f in enumerate(term_fields):
-        row = {"j": j, "sobolev": norm(f, hs), "fl1_sup": acc.ledger[j]}
-        row.update(_family_norms(f, families, params.s))
-        xi_rows.append(row)
+    (xi_rows, series_ledger, ratios, resolved_degrees, unresolved,
+     series_field) = _series_stage(data, params, families, max_gen, degree,
+                                   keep_sum=method == "series")
     tail_sum_hs = float(sum(row["sobolev"] for row in xi_rows if row["j"] >= 2))
-
-    # first Picard term of the bump alone, Duhamel path
-    flow_bump = linear_flow(bump.phi, params.T, degree)
-    xi1_bump_field = duhamel([flow_bump] * params.k, params.T, degree)
-    xi1_bump = {
-        "sobolev": norm(xi1_bump_field, hs),
-        "sobolev_sigma": norm(xi1_bump_field, hsig),
-    }
-    xi1_bump.update(_family_norms(xi1_bump_field, families, params.s))
-
-    # resonant split (closed-form path) and its reconstruction error
-    split = resonant_split(bump, params.T)
-    recon = split.reconstruction(params.R ** params.k)
-    denom = max(xi1_bump_field.sup(), 1e-300)
-    recon_err = (recon - xi1_bump_field).sup() / denom
-    i1_hs = norm(split.i1, hs)
-    i2_hs = norm(split.i2, hs)
+    xi1_bump, i1_hs, i2_hs, recon_err, mixed_hs = _first_term_stage(
+        base, bump, params, families, degree)
 
     # lower-bound ratio for the first Picard term in the target regularity
     pred = (params.R ** params.k * params.T**2
@@ -349,13 +328,9 @@ def run_inflation(params: InflationParams,
         base_hs + params.R * math.sqrt(params.A) * params.N**params.s,
     ))
     if base is not None:
-        # difference of first terms: all argument tuples with >= 1 base slot
-        flow_base = linear_flow(base, params.T, degree)
-        diff_field = _mixed_first_term(flow_base, flow_bump, params.k,
-                                       params.T, degree)
         lines.append(LemmaLine(
             "mixed first-term remainder",
-            norm(diff_field, hs),
+            mixed_hs,
             params.T**2 * params.R ** (params.k - 1)
             * params.A ** (params.k - 1) * base_h0,
         ))
@@ -367,7 +342,6 @@ def run_inflation(params: InflationParams,
     ledger.lemma_lines = lines
 
     # solution norm by the requested method
-    ratios = acc.ratios()
     converged = all(r < 1.0 for r in ratios)
     solution_norms = None
     solution_field = None
@@ -378,10 +352,10 @@ def run_inflation(params: InflationParams,
                 "use method='rk4' for the solution norm",
                 ratios,
             )
-        solution_field = acc.partial.field(final)
+        solution_field = series_field
     elif method == "fixed-point":
-        traj = fixed_point(data, params.k, params.T, FIXED_POINT_TOL, degree)
-        solution_field = traj.field(-1)
+        solution_field = fixed_point(data, params.k, params.T,
+                                     FIXED_POINT_TOL, degree).field(-1)
     elif method == "rk4":
         closure = closure_from_depth(data, params.k, depth=rk4_depth)
         solution_field, diag = rk4_solve(
@@ -418,15 +392,68 @@ def run_inflation(params: InflationParams,
         split_reconstruction_error=recon_err,
         tail_sum_hs=tail_sum_hs,
         ledger=ledger.as_dict(),
-        series_ledger=[float(x) for x in acc.ledger],
+        series_ledger=[float(x) for x in series_ledger],
         series_ratios=[float(r) for r in ratios],
         series_converged=converged,
         solution_method=method,
         solution_norms=solution_norms,
         runtime_seconds=time.perf_counter() - t_start,
-        series_resolved_degrees=acc.resolved_degrees,
-        series_unresolved=acc.unresolved,
+        series_resolved_degrees=resolved_degrees,
+        series_unresolved=unresolved,
     )
+
+
+def _series_stage(data: InitialPair, params: InflationParams, families: list,
+                  max_gen: int, degree: int, keep_sum: bool) -> tuple:
+    """The series of the full data up to max_gen, reduced to what a report
+    keeps: (rows, ledger, ratios, resolved degrees, unresolved
+    generations, partial sum at T if keep_sum else None).  A row holds the
+    norms of one term at T.  The term trajectories and their partial sum
+    are freed on return, before the solution norm is measured."""
+    acc = partial_sum(data, params.k, max_gen, params.T, degree)
+    final = acc.partial.nodes.size - 1
+    hs = NormSpec("sobolev", params.s)
+    rows = []
+    for j, term in enumerate(acc.terms):
+        f = term.trajectory.field(final)
+        row = {"j": j, "sobolev": norm(f, hs), "fl1_sup": acc.ledger[j]}
+        row.update(_family_norms(f, families, params.s))
+        rows.append(row)
+    series_field = acc.partial.field(final) if keep_sum else None
+    return (rows, acc.ledger, acc.ratios(), acc.resolved_degrees,
+            acc.unresolved, series_field)
+
+
+def _first_term_stage(base: InitialPair | None, bump: BumpData,
+                      params: InflationParams, families: list,
+                      degree: int) -> tuple:
+    """The bump's first Picard term at T and what a report keeps of it:
+    (its norms, i1_hs, i2_hs, the resonant split's reconstruction error,
+    the H^s norm of the mixed first-term remainder, or None without base
+    data).  The flows, the term, the split and the remainder are freed on
+    return."""
+    hs = NormSpec("sobolev", params.s)
+    # first Picard term of the bump alone, Duhamel path
+    flow_bump = linear_flow(bump.phi, params.T, degree)
+    xi1_bump_field = duhamel([flow_bump] * params.k, params.T, degree)
+    xi1_bump = {
+        "sobolev": norm(xi1_bump_field, hs),
+        "sobolev_sigma": norm(xi1_bump_field, NormSpec("sobolev", params.sigma)),
+    }
+    xi1_bump.update(_family_norms(xi1_bump_field, families, params.s))
+
+    # resonant split (closed-form path) and its reconstruction error
+    split = resonant_split(bump, params.T)
+    recon = split.reconstruction(params.R ** params.k)
+    denom = max(xi1_bump_field.sup(), 1e-300)
+    recon_err = (recon - xi1_bump_field).sup() / denom
+    mixed_hs = None
+    if base is not None:
+        # difference of first terms: all argument tuples with >= 1 base slot
+        flow_base = linear_flow(base, params.T, degree)
+        mixed_hs = norm(_mixed_first_term(flow_base, flow_bump, params.k,
+                                          params.T, degree), hs)
+    return xi1_bump, norm(split.i1, hs), norm(split.i2, hs), recon_err, mixed_hs
 
 
 def _mixed_first_term(flow_base, flow_bump, k: int, horizon: float,
@@ -466,7 +493,7 @@ _MINIMUMS = {"p": 1, "seed": 0, "J": 2, "k": 2, "rk4_steps": 100}
 
 def check_keys(config, known: set, required: set, index_keys: tuple):
     """ConfigError unless config is an object of known keys with all the
-    required ones, exactly one of the two index_keys, numbers where
+    required ones, exactly one of the two index_keys, finite numbers where
     numbers are read, booleans where booleans are, values at least the
     _MINIMUMS of their keys, no empty index list and s < 0."""
     if not isinstance(config, dict):
@@ -487,9 +514,9 @@ def check_keys(config, known: set, required: set, index_keys: tuple):
             raise ConfigError(f"{key} must be a list of integers")
         if key in _INTEGER_LIST_KEYS and not value:
             raise ConfigError(f"{key} must hold at least one point")
-        if key in _REAL_KEYS and not (_is_real(value) or (
+        if key in _REAL_KEYS and not (_is_finite(value) or (
                 value is None and key in ("sigma", "delta"))):
-            raise ConfigError(f"{key} must be a number, not {value!r}")
+            raise ConfigError(f"{key} must be a finite number, not {value!r}")
         if key in _BOOLEAN_KEYS and not isinstance(value, bool):
             raise ConfigError(f"{key} must be true or false, not {value!r}")
         if key in _MINIMUMS and value < _MINIMUMS[key]:
@@ -500,6 +527,12 @@ def check_keys(config, known: set, required: set, index_keys: tuple):
 
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A real number other than NaN and +-Infinity, which Python's json
+    reads."""
+    return _is_real(value) and (isinstance(value, int) or math.isfinite(value))
 
 
 def _is_integer(value) -> bool:

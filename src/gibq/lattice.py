@@ -558,7 +558,6 @@ class GridField:
     """Real samples at equispaced physical points over one period."""
 
     samples: np.ndarray
-    period: float
     weight_scale: float = 1.0  # carries the lattice measure into L^p norms
 
     def __post_init__(self):
@@ -612,6 +611,5 @@ def synthesize(f: SpectralField, oversample: int = 2) -> GridField:
     if f.nnz:
         spectrum[np.mod(f.xi, m)] = f.c
     samples = np.fft.ifft(spectrum).real * m
-    return GridField(samples=samples, period=f.lattice.period,
-                     weight_scale=f.lattice.weight)
+    return GridField(samples=samples, weight_scale=f.lattice.weight)
 

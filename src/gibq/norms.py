@@ -143,7 +143,8 @@ def norm(obj, spec: NormSpec) -> float:
             # so no synthesis grid is needed (works at any frequency scale)
             linf = float(np.sum(g.c.real)) * g.lattice.weight
         else:
-            linf = synthesize(g, oversample=_LINF_OVERSAMPLE).max_abs()
+            # the samples are the unweighted sums, the field weight times them
+            linf = synthesize(g, oversample=_LINF_OVERSAMPLE).max_abs() * g.lattice.weight
         return max(l2, linf)
 
     if spec.family == "modulation":

@@ -159,10 +159,15 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
     or with trajectory=False (final, diagnostics), where final is the
     SpectralField at the horizon, as the Trajectory's field(-1), or None
     after a blow-up.  The final-only solve keeps no nodes x (2K + 1)
-    matrix: each node's state is mirrored into one reused block row.
+    matrix.  Besides the state it holds five rows of the modes 0..K in
+    one block: the stage-3 argument and then F3; the stage-2 argument and
+    then the stage velocities; F1 and then the sum of the v increments;
+    F2, the stage-4 argument and then F4; and the sum of the u increments.
+    The first two rows, dead between steps, hold the block -K..K of a node
+    for its l2 sums and the final field.
 
     The data must be real: a pair that is not exactly Hermitian raises
-    ValueError, as does a node_degree below 1.  The solution then stays
+    ValueError, as do a node_degree below 1 and a NaN tail_tol.  The solution then stays
     real, and the state holds only the modes 0..K of the block
     |xi| <= K = support_closure; the full block is formed by mirroring at
     the output nodes.  The first stage of
@@ -188,6 +193,8 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
     """
     if dt <= 0 or dt > horizon / 100.0:
         raise ValueError("dt must be positive and at most horizon/100")
+    if math.isnan(tail_tol):
+        raise ValueError("tail_tol must not be NaN: no tail would exceed it")
     check_node_degree(node_degree)
     if not pair.is_hermitian(0.0):
         raise ValueError("rk4_solve needs real data: an exactly Hermitian pair")
@@ -206,20 +213,18 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
     for comp, half in ((pair.u0, u), (pair.u1, v)):
         ahead = comp.xi >= 0
         half[comp.xi[ahead]] = comp.c[ahead]
-    # the block -K..K of one node, for its l2 sums and the final field
-    row = np.empty(2 * K + 1, dtype=np.complex128)
     if trajectory:
         # one row per node; nodes at and after a blow-up stay zero
         values = np.zeros((nodes.size, 2 * K + 1), dtype=np.complex128)
         values[0][pair.u0.xi + K] = pair.u0.c
 
-    lam = lambda_symbol(np.arange(K + 1), lattice)
-    neg_lam2 = -(lam * lam)
+    neg_lam2 = lambda_symbol(np.arange(K + 1), lattice)  # lam, squared and negated
+    np.negative(np.multiply(neg_lam2, neg_lam2, out=neg_lam2), out=neg_lam2)
     conv_weight = lattice.weight ** (k - 1)
     diag = OdeDiagnostics(closure=K)
 
     def force(w, out, monitored=False):
-        """out = F(w) = -lam^2 (w - conv_weight (w^k)^)."""
+        """out = F(w) = -lam^2 (w - conv_weight (w^k)^); out may be w."""
         if nonlinear:
             if monitored:  # w is u, the head of padded: the whole power
                 power = _dense_conv_power(padded, k)
@@ -230,20 +235,25 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
                     diag.max_tail_fraction = max(diag.max_tail_fraction, tail)
             else:
                 power = _dense_conv_power(w, k)
-            np.multiply(conv_weight, power, out=out)
+            power *= conv_weight
             # Sign matches the Duhamel form u = S(t)u0 + I_k(u) that the
             # series solves; for even k this is the u -> -u image of the
             # opposite convention, so all norms coincide.
-            w = np.subtract(w, out, out=out)
+            w = np.subtract(w, power, out=out)
         np.multiply(neg_lam2, w, out=out)
 
-    # Stage arguments and forcings, allocated once.  Round 1 writes F1 to
-    # f_here and F2 to f_there; round 2 writes F3 to f_there and F4 to
-    # f_part.  acc_u, and f_here from the end of round 1 on, hold the
-    # weighted sums k1 + 2 k2 + 2 k3 + k4 of the u and v increments,
-    # added left to right as the four-term expression adds them.
-    arg_here, arg_there, f_here, f_there, f_part, acc_u = (
-        np.empty(K + 1, dtype=np.complex128) for _ in range(6))
+    # Stage rows of the modes 0..K, in one block.  Round 1 writes F1 to
+    # f_here and F2, of the argument in arg_there, to f_there; arg_there
+    # then holds the velocities of stages 2, 3 and 4 in turn.  Round 2
+    # writes F3 over its argument in arg_here and F4 over its argument in
+    # f_there.  acc_u, and f_here from the end of round 1 on, hold the
+    # weighted sums k1 + 2 k2 + 2 k3 + k4 of the u and v increments, added
+    # left to right as the four-term expression adds them.  Between steps
+    # every row is dead, and the first two, adjacent, hold a node's block
+    # -K..K as row for its l2 sums and the final field.
+    stages = np.empty((5, K + 1), dtype=np.complex128)
+    arg_here, arg_there, f_here, f_there, acc_u = stages
+    row = stages.reshape(-1)[: 2 * K + 1]
     t = 0.0
     with _partner_pool(K) as pool:
         for i, target in enumerate(nodes[1:], 1):
@@ -257,22 +267,23 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
                     np.add(u, np.multiply(half_h, v, out=arg_there), out=arg_there)
                     _pair(pool, lambda: force(u, f_here, monitored=True),
                           lambda: force(arg_there, f_there))
-                    # stage 2's velocity v + h/2 F1 in f_part
-                    np.add(v, np.multiply(half_h, f_here, out=f_part), out=f_part)
-                    np.add(v, np.multiply(2, f_part, out=acc_u), out=acc_u)
-                    np.add(u, np.multiply(half_h, f_part, out=arg_here), out=arg_here)
-                    # stage 3's velocity v + h/2 F2 in f_part
-                    np.add(v, np.multiply(half_h, f_there, out=f_part), out=f_part)
-                    np.add(u, np.multiply(h, f_part, out=arg_there), out=arg_there)
-                    acc_u += np.multiply(2, f_part, out=f_part)
+                    # stage 2's velocity v + h/2 F1 in arg_there
+                    np.add(v, np.multiply(half_h, f_here, out=arg_there), out=arg_there)
+                    np.add(v, np.multiply(2, arg_there, out=acc_u), out=acc_u)
+                    np.add(u, np.multiply(half_h, arg_there, out=arg_here), out=arg_here)
+                    # stage 3's velocity v + h/2 F2 in arg_there
+                    np.add(v, np.multiply(half_h, f_there, out=arg_there), out=arg_there)
                     f_here += np.multiply(2, f_there, out=f_there)
-                    # round 2: F3 = F(u + h/2 (v + h/2 F1)), F4 = F(u + h (v + h/2 F2))
-                    _pair(pool, lambda: force(arg_here, f_there),
-                          lambda: force(arg_there, f_part))
-                    # stage 4's velocity v + h F3 in arg_here
-                    acc_u += np.add(v, np.multiply(h, f_there, out=arg_here), out=arg_here)
-                    f_here += np.multiply(2, f_there, out=f_there)
-                    f_here += f_part
+                    np.add(u, np.multiply(h, arg_there, out=f_there), out=f_there)
+                    acc_u += np.multiply(2, arg_there, out=arg_there)
+                    # round 2: F3 = F(u + h/2 (v + h/2 F1)) over arg_here,
+                    # F4 = F(u + h (v + h/2 F2)) over f_there
+                    _pair(pool, lambda: force(arg_here, arg_here),
+                          lambda: force(f_there, f_there))
+                    # stage 4's velocity v + h F3 in arg_there
+                    acc_u += np.add(v, np.multiply(h, arg_here, out=arg_there), out=arg_there)
+                    f_here += np.multiply(2, arg_here, out=arg_here)
+                    f_here += f_there
                     u += np.multiply(sixth_h, acc_u, out=acc_u)
                     v += np.multiply(sixth_h, f_here, out=f_here)
                     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):

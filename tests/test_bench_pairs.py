@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -49,3 +51,34 @@ def test_verdict_against_the_bound():
     assert bench_pairs.verdict(wide, wide, "lower", 0.25) == "unresolved"
     # unless every change run beats every parent run
     assert bench_pairs.verdict(wide, [10.0, 40.0] * 5, "lower", 0.25) == "within bound"
+
+
+def _git(cwd, *args):
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def test_out_names_the_commit_of_each_checkout(tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+        _git(checkout, "init", "-q")
+        (checkout / "f").write_text(checkout.name)
+        _git(checkout, "add", "f")
+        _git(checkout, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "c")
+    plain = change / "copy"  # a plain directory inside a work tree
+    plain.mkdir()
+    assert bench_pairs.head_commit(parent) == _git(parent, "rev-parse", "HEAD")
+    assert bench_pairs.head_commit(plain) is None
+    assert bench_pairs.head_commit(tmp_path) is None
+
+    names = [m["name"] for m in json.loads(
+        (_PATH.parents[1] / "BENCHMARK.json").read_text())["end_to_end"]]
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, *args: dict.fromkeys(names, 1.0))
+    out = tmp_path / "pairs.json"
+    bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                      "--workload", "desk_point", "--seeds", "1,2", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["commits"] == {"parent": _git(parent, "rev-parse", "HEAD"),
+                              "change": _git(change, "rev-parse", "HEAD")}

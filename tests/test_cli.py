@@ -168,6 +168,29 @@ def test_solve_rejects_a_value_of_the_wrong_type(tmp_path, capsys, key, value):
     assert f"config error: {key} must be" in capsys.readouterr().err
 
 
+# Python's json reads NaN and +-Infinity: a NaN base_amplitude exited 0
+# with nan cells, and a NaN rk4_tail_tol switched the tail monitor off
+@pytest.mark.parametrize("command,key", [
+    ("inflate", "base_amplitude"), ("inflate", "base_decay"),
+    ("inflate", "rk4_tail_tol"), ("inflate", "sigma"), ("inflate", "delta"),
+    ("solve", "base_amplitude"), ("solve", "base_decay"), ("solve", "sigma"),
+    ("solve", "delta"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_number_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                               command, key, value):
+    from gibq import cli, harness
+
+    monkeypatch.setattr(harness, "run_inflation", _capture)
+    monkeypatch.setattr(cli, "partial_sum", _capture)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_SWEEP if command == "inflate" else _SOLVE,
+                                   **{key: value})))
+    args = ["--out", str(tmp_path / "runs")] if command == "inflate" else []
+    assert run([command, "--config", str(cfg)] + args) == 2
+    assert f"config error: {key} must be a finite number" in capsys.readouterr().err
+
+
 def test_integral_floats_and_null_defaults_pass_the_key_check():
     from gibq.harness import validate_config
 

@@ -76,6 +76,21 @@ def test_schedule_keeps_horizon_below_one_over_n():
         assert 0 < params.T < 1.0 / n
 
 
+def test_schedule_raises_N_when_T_rounds_to_one_over_n():
+    # T < 1/n holds in exact arithmetic for every admissible delta; with
+    # delta one float below its ceiling, N = 2^75 gives T == 1/2 after
+    # rounding, and schedule raises N to the next power of two
+    s = -0.04
+    delta = float(np.nextafter(delta_ceiling(s, 2), 0.0))
+    first = schedule_from_N(2**75, 2, s, delta_hint=delta)
+    assert first.T == 0.5
+    params = schedule(2, 2, s, delta_hint=delta)
+    assert params.N == 2**76
+    assert params.adjustments == [
+        f"N raised to {2**76} so that T stays inside (0, 1/n)"]
+    assert 0.0 < params.T < 0.5
+
+
 def test_schedule_first_rung_conditions_logged():
     from gibq.harness import check_conditions
 

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from gibq import harness, oracle
 from gibq.construction import make_bump, sample_base_data, schedule_from_N
 from gibq.errors import ConfigError, SeriesDivergenceError
-from gibq.flow import InitialPair, duhamel, linear_flow
+from gibq.flow import InitialPair, Trajectory, duhamel, linear_flow
 from gibq.harness import (
     _mixed_first_term,
     check_conditions,
@@ -185,6 +186,49 @@ def test_amplitude_without_a_seed_samples_no_base(params):
     assert unseeded == alone
     names = [line["name"] for line in unseeded["ledger"]["lemma_lines"]]
     assert "mixed first-term remainder" not in names
+
+
+def test_no_series_stage_trajectory_is_alive_during_the_rk4_solve(monkeypatch, params):
+    # the series terms, their partial sum and the first-term flows are
+    # freed before the solve allocates its block
+    made, alive = [], []
+    init = Trajectory.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    def spy(*args, **kwargs):
+        alive.extend(ref for ref in made if ref() is not None)
+        return oracle.rk4_solve(*args, **kwargs)
+
+    monkeypatch.setattr(Trajectory, "__init__", tracked)
+    monkeypatch.setattr(harness, "rk4_solve", spy)
+    report = run_inflation(params, base_seed=3, base_amplitude=0.01, max_gen=2,
+                           degree=12, method="rk4", rk4_depth=2, rk4_steps=100,
+                           rk4_tail_tol=1e9)
+    assert report.solution_norms is not None
+    assert len(made) > 5  # terms, partial sums, flows and first terms
+    assert alive == []
+
+
+def test_fixed_point_method_agrees_with_the_series_at_a_contracting_point():
+    # N = 2^48 lies past the contraction threshold: the fixed point and the
+    # series partial sum to J = 4 differ by the series tail, which the last
+    # ledger entry and ratio bound geometrically
+    params = schedule_from_N(1 << 48, K, S, delta_hint=DELTA)
+    kwargs = dict(max_gen=4, degree=12,
+                  families=[{"family": "fourier_lebesgue", "q": 1}])
+    series = run_inflation(params, method="series", **kwargs).as_dict()
+    fixed = run_inflation(params, method="fixed-point", **kwargs).as_dict()
+    assert series["series_converged"]
+    assert fixed["solution_method"] == "fixed-point"
+    differ = {key for key in series if series[key] != fixed[key]}
+    assert differ == {"solution_method", "solution_norms"}
+    ratio = series["series_ratios"][-1]
+    tail = series["series_ledger"][-1] * ratio / (1.0 - ratio)
+    for key, value in series["solution_norms"].items():
+        assert 0 < abs(fixed["solution_norms"][key] - value) <= tail
 
 
 def test_series_method_refuses_divergent(params):

@@ -29,6 +29,22 @@ def line_lattice(period=8.0):
 # basic examples
 # ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("lat", [FrequencyLattice(period=1.0, cutoff=1 << 20),
+                                 line_lattice()], ids=["torus", "line"])
+def test_w_s2inf_synthesis_matches_the_nonnegative_spectrum_sum(lat):
+    # (-1)^xi c translates the field by half a period, a synthesis grid
+    # point: the sup is the same, but the spectrum is no longer
+    # nonnegative, so the norm takes its synthesis branch
+    xi = np.arange(-40, 41)
+    c = 1.0 / (1.0 + 0.1 * np.abs(xi))
+    summed = SpectralField(lat, xi, c.astype(np.complex128))
+    shifted = SpectralField(lat, xi, (c * (-1.0) ** xi).astype(np.complex128))
+    spec = NormSpec("w_s2inf", -0.5)
+    l2 = norm(summed, NormSpec("sobolev", -0.5))
+    assert norm(summed, spec) > 2 * l2  # the sup, not the l2 part, decides
+    assert norm(shifted, spec) == pytest.approx(norm(summed, spec), rel=1e-13)
+
+
 def test_delta_sobolev_is_one(lattice):
     f = SpectralField.delta(lattice, 0, 1.0)
     for s in (-2.0, -0.5, 0.0, 1.5):

@@ -409,6 +409,38 @@ def test_rk4_final_only_solve_keeps_no_node_matrix(lattice):
     assert peaks[False] < matrix < peaks[True]
 
 
+def test_rk4_final_only_solve_peaks_below_fifteen_block_rows(lattice):
+    # The solve holds the state (u padded to 2K + 1 modes, and v: three
+    # rows of K + 1), five stage rows and -lam^2 (half a row); a step
+    # start adds the whole power (two rows) and the transforms' scratch.
+    # That peaks at 13.7 rows; a sixth stage row, a separate 2K + 1 row
+    # for the l2 sums and a kept lam array took it to 17.2.
+    K = 3000  # below _PAIR_MIN_MODES: no worker thread allocates beside it
+    pair = InitialPair(hermitian_field(lattice, 62, 6, amplitude=0.5),
+                       hermitian_field(lattice, 63, 6, amplitude=0.5))
+    rk4_solve(pair, 0.5, 0.5 / 200, K, k=2, tail_tol=math.inf, trajectory=False)
+    tracemalloc.start()
+    try:
+        rk4_solve(pair, 0.5, 0.5 / 200, K, k=2, tail_tol=math.inf, trajectory=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * (K + 1) * 16
+
+
+def test_rk4_rejects_a_nan_tail_tolerance(lattice, tmp_path, capsys):
+    # every check tail > NaN is false: the monitor would be off unseen
+    pair = InitialPair(hermitian_field(lattice, 62, 6, amplitude=0.5),
+                       hermitian_field(lattice, 63, 6, amplitude=0.5))
+    with pytest.raises(ValueError, match="tail_tol must not be NaN"):
+        rk4_solve(pair, 0.5, 0.5 / 200, 96, k=2, tail_tol=math.nan)
+    assert cli_module.main(["oracle", "--mode", "rk4", "--depth", "2",
+                            "--steps", "100", "--tail-tol", "nan",
+                            "--out", str(tmp_path / "rk4.csv")]) == 1
+    assert "tail_tol must not be NaN" in capsys.readouterr().err
+    assert not (tmp_path / "rk4.csv").exists()
+
+
 def test_rk4_runs_inline_while_the_solves_outnumber_the_cpu_pairs(monkeypatch, lattice):
     # with another solve in progress, two solves with a worker each would
     # need four CPUs; the two this process may use leave each solve one

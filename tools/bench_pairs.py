@@ -23,6 +23,10 @@ the pairs the change wins (ties count for neither side), and two rules:
   unresolved instead, unless every change run is better than every parent
   run.
 
+--out writes every run's metrics, the summary, and the commit of each
+checkout (git rev-parse HEAD; null for a copy that is not the root of a
+git work tree) to a JSON file.
+
 Run from the repository root, for example
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
@@ -103,6 +107,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {name: m["value"] for name, m in record["metrics"].items()}
 
 
+def head_commit(checkout: Path) -> str | None:
+    """The commit checked out at checkout (git rev-parse HEAD), or None
+    when checkout is not the root of a git work tree (a copy made with
+    git archive, say), so that no enclosing repository is named."""
+    proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"],
+                          cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.split()
+    if proc.returncode != 0 or len(lines) != 2:
+        return None
+    if Path(lines[0]).resolve() != Path(checkout).resolve():
+        return None
+    return lines[1]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -149,9 +167,11 @@ def main(argv=None) -> int:
               f"gain {'holds' if s['gain_holds'] else 'does not hold'}, "
               f"{s['verdict']}")
     if args.out is not None:
+        commits = {"parent": head_commit(args.parent),
+                   "change": head_commit(args.change)}
         args.out.write_text(json.dumps(
             {"workload": args.workload, "seconds": args.seconds, "seeds": seeds,
-             "runs": runs, "summary": summary}, indent=1) + "\n")
+             "commits": commits, "runs": runs, "summary": summary}, indent=1) + "\n")
     return 0
 
 
