@@ -143,8 +143,10 @@ def norm(obj, spec: NormSpec) -> float:
             # so no synthesis grid is needed (works at any frequency scale)
             linf = float(np.sum(g.c.real)) * g.lattice.weight
         else:
-            # the samples are the unweighted sums, the field weight times them
-            linf = synthesize(g, oversample=_LINF_OVERSAMPLE).max_abs() * g.lattice.weight
+            # the samples are the unweighted sums; the field is the lattice
+            # weight times them, as in the branch above
+            grid = synthesize(g, oversample=_LINF_OVERSAMPLE)
+            linf = grid.max_abs() * g.lattice.weight
         return max(l2, linf)
 
     if spec.family == "modulation":

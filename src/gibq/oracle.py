@@ -167,13 +167,13 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
     for its l2 sums and the final field.
 
     The data must be real: a pair that is not exactly Hermitian raises
-    ValueError, as do a node_degree below 1 and a NaN tail_tol.  The solution then stays
-    real, and the state holds only the modes 0..K of the block
-    |xi| <= K = support_closure; the full block is formed by mirroring at
-    the output nodes.  The first stage of
-    each step forms the whole power, on 2kK + 1 samples, and monitors the
-    l2 fraction of it that falls outside the block; max_tail_fraction is
-    the maximum over step starts.  Stages 2-4 form only the power's modes
+    ValueError, as do a node_degree below 1 and a NaN tail_tol.  The
+    solution then stays real, and the state holds only the modes 0..K of
+    the block |xi| <= K = support_closure; the full block is formed by
+    mirroring at the output nodes.  The first stage of each step forms
+    the whole power, on 2kK + 1 samples, and monitors the l2 fraction of
+    it that falls outside the block; max_tail_fraction is the maximum
+    over step starts.  Stages 2-4 form only the power's modes
     0..K, alias-free on (k + 1)K + 1 samples.  On a breach the closure is
     doubled once and the integration restarted; a second breach raises
     TruncationTailError.
@@ -274,6 +274,7 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
                     # stage 3's velocity v + h/2 F2 in arg_there
                     np.add(v, np.multiply(half_h, f_there, out=arg_there), out=arg_there)
                     f_here += np.multiply(2, f_there, out=f_there)
+                    # F2 is spent: stage 4's argument in f_there
                     np.add(u, np.multiply(h, arg_there, out=f_there), out=f_there)
                     acc_u += np.multiply(2, arg_there, out=arg_there)
                     # round 2: F3 = F(u + h/2 (v + h/2 F1)) over arg_here,
