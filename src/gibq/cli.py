@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import secrets
 import sys
@@ -128,14 +127,6 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _parse_norm_spec(text: str) -> NormSpec:
-    parts = text.split(",")
-    family = parts[0]
-    s = float(parts[1]) if len(parts) > 1 else 0.0
-    q = math.inf if len(parts) <= 2 or parts[2] == "inf" else float(parts[2])
-    return NormSpec(family, s=s, q=q)
-
-
 def _embedding_corpus(count: int, seed: int):
     """Seeded band-limited fields on a scaled torus, multi-point bands."""
     rng = np.random.default_rng(seed)
@@ -166,7 +157,8 @@ def _cmd_norms(args) -> int:
                           "(or --check-embeddings)")
     with open(args.field) as handle:
         f = SpectralField.from_json(handle.read())
-    value = norm(f, _parse_norm_spec(args.spec))
+    entry = dict(zip(("family", "s", "q"), args.spec.split(",")))
+    value = norm(f, NormSpec.from_entry(entry, float(entry.get("s", 0.0))))
     _emit(f"{value!r}\n", args.out)
     return 0
 

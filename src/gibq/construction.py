@@ -111,7 +111,10 @@ def schedule(n: int, k: int, s: float, sigma: float | None = None,
     if n < 1:
         raise ValueError("inflation index n must be >= 1")
     adjustments = []
-    N = math.ceil(float(n) ** (2.0 / delta))
+    try:
+        N = math.ceil(float(n) ** (2.0 / delta))
+    except OverflowError:
+        raise ValueError(f"N = {n}^(2/{delta:g}) passes the float range") from None
     if N < CUBE_SEPARATION * DEFAULT_A:
         N = _next_pow2(CUBE_SEPARATION * DEFAULT_A)
         adjustments.append(
@@ -150,10 +153,16 @@ class BumpData:
 
 
 def omega_frequencies(N: int, A: int = DEFAULT_A) -> np.ndarray:
-    """The 4(A+1) integers in the union of cubes m*N + [-A/2, A/2]."""
+    """The 4(A+1) integers in the union of cubes m*N + [-A/2, A/2].
+    Raises ValueError for an odd A, and for an N that puts them past the
+    int64 frequency indices."""
     if A % 2 != 0:
         raise ValueError("A must be even")
     half = A // 2
+    largest = (int(np.iinfo(np.int64).max) - half) // CUBE_CENTERS[-1]
+    if N > largest:
+        raise ValueError(f"N = {N} puts the bump's frequencies 2N + A/2 past "
+                         f"the int64 range; the largest N is {largest}")
     cubes = [m * N + np.arange(-half, half + 1) for m in CUBE_CENTERS]
     return np.sort(np.concatenate(cubes)).astype(np.int64)
 

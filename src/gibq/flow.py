@@ -158,10 +158,6 @@ class InitialPair:
     def lattice(self) -> FrequencyLattice:
         return self.u0.lattice
 
-    def fl1(self) -> float:
-        """Summed Wiener-algebra norm of the pair."""
-        return self.u0.l1() + self.u1.l1()
-
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return self.u0.is_hermitian(tol) and self.u1.is_hermitian(tol)
 

@@ -206,23 +206,9 @@ def resonant_split(bump: BumpData, horizon: float) -> ResonantSplit:
 # inflation runs
 # ----------------------------------------------------------------------
 
-def family_label(spec_dict: dict) -> str:
-    fam = spec_dict["family"]
-    q = spec_dict.get("q", math.inf)
-    if fam in ("sobolev", "w_s2inf"):
-        return fam
-    qtxt = "inf" if (q is None or math.isinf(float(q))) else f"{float(q):g}"
-    return f"{fam}_q{qtxt}"
-
-
-def _family_norms(obj, families: list, s: float) -> dict:
-    """Norm of obj in each requested family at regularity s, by label."""
-    out = {}
-    for spec_dict in families:
-        q = spec_dict.get("q", math.inf)
-        q = math.inf if q in (None, "inf") else float(q)
-        out[family_label(spec_dict)] = norm(obj, NormSpec(spec_dict["family"], s=s, q=q))
-    return out
+def _family_norms(obj, specs: list) -> dict:
+    """Norm of obj in each requested family, by label."""
+    return {spec.label: norm(obj, spec) for spec in specs}
 
 
 # InflationReport fields of the runtime record, out of the default as_dict
@@ -283,6 +269,7 @@ def run_inflation(params: InflationParams,
     t_start = time.perf_counter()
     if families is None:
         families = [{"family": "sobolev"}]
+    specs = [NormSpec.from_entry(entry, params.s) for entry in families]
     if max_gen < 2:
         raise ValueError("max_gen must be >= 2")
     lattice = params.lattice(max_gen=max(max_gen, 8),
@@ -302,14 +289,14 @@ def run_inflation(params: InflationParams,
         "sobolev_pair": norm(bump.phi, hs_pair),
         "w_s2inf_pair": norm(bump.phi, NormSpec("w_s2inf", params.s)),
     }
-    perturbation.update(_family_norms(bump.phi, families, params.s))
+    perturbation.update(_family_norms(bump.phi, specs))
 
     (xi_rows, series_ledger, ratios, resolved_degrees, unresolved,
-     series_field) = _series_stage(data, params, families, max_gen, degree,
+     series_field) = _series_stage(data, params, specs, max_gen, degree,
                                    keep_sum=method == "series")
     tail_sum_hs = float(sum(row["sobolev"] for row in xi_rows if row["j"] >= 2))
     xi1_bump, i1_hs, i2_hs, recon_err, mixed_hs = _first_term_stage(
-        base, bump, params, families, degree)
+        base, bump, params, specs, degree)
 
     # lower-bound ratio for the first Picard term in the target regularity
     pred = (params.R ** params.k * params.T**2
@@ -376,13 +363,13 @@ def run_inflation(params: InflationParams,
                           "sobolev_sigma": norm(solution_field, hsig)}
         if method == "rk4":
             solution_norms["max_tail_fraction"] = diag.max_tail_fraction
-        solution_norms.update(_family_norms(solution_field, families, params.s))
+        solution_norms.update(_family_norms(solution_field, specs))
 
     return InflationReport(
         schema_version=SCHEMA_VERSION,
         params=params.as_dict(),
         seed=base_seed,
-        families=[family_label(f) for f in families],
+        families=[spec.label for spec in specs],
         perturbation=perturbation,
         xi_terms_at_T=xi_rows,
         xi1_bump=xi1_bump,
@@ -403,7 +390,7 @@ def run_inflation(params: InflationParams,
     )
 
 
-def _series_stage(data: InitialPair, params: InflationParams, families: list,
+def _series_stage(data: InitialPair, params: InflationParams, specs: list,
                   max_gen: int, degree: int, keep_sum: bool) -> tuple:
     """The series of the full data up to max_gen, reduced to what a report
     keeps: (rows, ledger, ratios, resolved degrees, unresolved
@@ -417,7 +404,7 @@ def _series_stage(data: InitialPair, params: InflationParams, families: list,
     for j, term in enumerate(acc.terms):
         f = term.trajectory.field(final)
         row = {"j": j, "sobolev": norm(f, hs), "fl1_sup": acc.ledger[j]}
-        row.update(_family_norms(f, families, params.s))
+        row.update(_family_norms(f, specs))
         rows.append(row)
     series_field = acc.partial.field(final) if keep_sum else None
     return (rows, acc.ledger, acc.ratios(), acc.resolved_degrees,
@@ -425,7 +412,7 @@ def _series_stage(data: InitialPair, params: InflationParams, families: list,
 
 
 def _first_term_stage(base: InitialPair | None, bump: BumpData,
-                      params: InflationParams, families: list,
+                      params: InflationParams, specs: list,
                       degree: int) -> tuple:
     """The bump's first Picard term at T and what a report keeps of it:
     (its norms, i1_hs, i2_hs, the resonant split's reconstruction error,
@@ -440,7 +427,7 @@ def _first_term_stage(base: InitialPair | None, bump: BumpData,
         "sobolev": norm(xi1_bump_field, hs),
         "sobolev_sigma": norm(xi1_bump_field, NormSpec("sobolev", params.sigma)),
     }
-    xi1_bump.update(_family_norms(xi1_bump_field, families, params.s))
+    xi1_bump.update(_family_norms(xi1_bump_field, specs))
 
     # resonant split (closed-form path) and its reconstruction error
     split = resonant_split(bump, params.T)
@@ -635,7 +622,7 @@ def sweep(config: dict):
     kind = "n" if "n_list" in config else "N"
     indices = config[f"{kind}_list"]
     families = config["families"]
-    labels = [family_label(f) for f in families]
+    labels = [NormSpec.from_entry(entry).label for entry in families]
     columns = list(CSV_COLUMNS)
     for lab in labels:
         columns += [f"pert_{lab}", f"xi1_{lab}", f"solution_{lab}"]

@@ -555,10 +555,15 @@ def _fold_batch(out, rows, layout, lo, width, prune):
 
 @dataclass(frozen=True)
 class GridField:
-    """Real samples at equispaced physical points over one period."""
+    """Samples at equispaced physical points over one period.
+
+    The samples are unweighted sums of modes (see grid_samples); the
+    physical field is weight_scale, the lattice weight, times them, and
+    both norms below are norms of that field.
+    """
 
     samples: np.ndarray
-    weight_scale: float = 1.0  # carries the lattice measure into L^p norms
+    weight_scale: float = 1.0
 
     def __post_init__(self):
         self.samples.setflags(write=False)
@@ -568,7 +573,8 @@ class GridField:
         return int(self.samples.size)
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.samples))) if self.size else 0.0
+        """Sup norm of the physical field on the grid."""
+        return float(np.max(np.abs(self.samples))) * self.weight_scale if self.size else 0.0
 
     def l2(self) -> float:
         """Mean-square norm matching the frequency-side H^0 norm exactly."""
@@ -595,6 +601,14 @@ def synthesis_length(f: SpectralField, oversample: int) -> int:
     return m
 
 
+def grid_samples(xi: np.ndarray, c: np.ndarray, m: int) -> np.ndarray:
+    """The sums of c[i] exp(2 pi i xi[i] j / m) at the m grid points j,
+    complex: the spectrum is placed on the grid and inverted."""
+    spectrum = np.zeros(m, dtype=np.complex128)
+    spectrum[np.mod(xi, m)] = c
+    return np.fft.ifft(spectrum) * m
+
+
 def synthesize(f: SpectralField, oversample: int = 2) -> GridField:
     """Exact trigonometric synthesis at equispaced points.
 
@@ -606,10 +620,5 @@ def synthesize(f: SpectralField, oversample: int = 2) -> GridField:
     """
     if oversample < 2:
         raise ValueError("oversample must be >= 2")
-    m = synthesis_length(f, oversample)
-    spectrum = np.zeros(m, dtype=np.complex128)
-    if f.nnz:
-        spectrum[np.mod(f.xi, m)] = f.c
-    samples = np.fft.ifft(spectrum).real * m
+    samples = grid_samples(f.xi, f.c, synthesis_length(f, oversample)).real
     return GridField(samples=samples, weight_scale=f.lattice.weight)
-

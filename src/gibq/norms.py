@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import InitialPair
-from .lattice import SpectralField, bracket, convolve, synthesis_length, synthesize
+from .lattice import (GridField, SpectralField, bracket, convolve, grid_samples,
+                      synthesis_length, synthesize)
 
 FAMILIES = (
     "sobolev",
@@ -59,6 +60,21 @@ class NormSpec:
             raise ValueError(f"unknown norm family {self.family!r}")
         if self.q < 1:
             raise ValueError("q must be >= 1 (or inf)")
+
+    @classmethod
+    def from_entry(cls, entry: dict, s: float = 0.0) -> "NormSpec":
+        """Spec of a {family, q} entry (a config's families list) at
+        regularity s; an absent, null or "inf" q is the supremum."""
+        q = entry.get("q")
+        return cls(entry["family"], s=s, q=math.inf if q in (None, "inf") else float(q))
+
+    @property
+    def label(self) -> str:
+        """Name of the family's columns and report keys: the family, with
+        _q<q> for the families that use q."""
+        if self.family in ("sobolev", "w_s2inf"):
+            return self.family
+        return f"{self.family}_q{'inf' if math.isinf(self.q) else f'{self.q:g}'}"
 
 
 def _lq(values: np.ndarray, weights, q: float) -> float:
@@ -110,15 +126,10 @@ def norm(obj, spec: NormSpec) -> float:
     """
     if isinstance(obj, InitialPair):
         if spec.family == "sobolev_pair":
-            comp = NormSpec("sobolev", s=spec.s)
+            spec = NormSpec("sobolev", s=spec.s)
         elif spec.family == "wiener_pair":
-            comp = NormSpec("fourier_lebesgue", s=0.0, q=1.0)
-        elif spec.family in ("sobolev", "fourier_lebesgue", "w_s2inf",
-                             "modulation", "wiener_amalgam"):
-            comp = spec
-        else:
-            raise ValueError(f"{spec.family} does not apply to pairs")
-        return norm(obj.u0, comp) + norm(obj.u1, comp)
+            spec = NormSpec("fourier_lebesgue", q=1.0)
+        return norm(obj.u0, spec) + norm(obj.u1, spec)
 
     f: SpectralField = obj
     if spec.family in PAIR_FAMILIES:
@@ -143,10 +154,7 @@ def norm(obj, spec: NormSpec) -> float:
             # so no synthesis grid is needed (works at any frequency scale)
             linf = float(np.sum(g.c.real)) * g.lattice.weight
         else:
-            # the samples are the unweighted sums; the field is the lattice
-            # weight times them, as in the branch above
-            grid = synthesize(g, oversample=_LINF_OVERSAMPLE)
-            linf = grid.max_abs() * g.lattice.weight
+            linf = synthesize(g, oversample=_LINF_OVERSAMPLE).max_abs()
         return max(l2, linf)
 
     if spec.family == "modulation":
@@ -173,30 +181,20 @@ def _amalgam_norm(f: SpectralField, spec: NormSpec) -> float:
         vals = np.array([abs(f.c[part.bands[n][0]]) for n in ns])
         wts = np.array([bracket(float(n)) ** spec.s for n in ns])
         return _lq(wts * vals, 1.0, spec.q) * math.sqrt(f.lattice.weight)
+    # every band is synthesized on the grid synthesize would take for the
+    # whole field, so all bands share its sample points (see synthesize
+    # for why that length stays a power of two)
+    m = synthesis_length(f, _LINF_OVERSAMPLE)
     rows = []
     for n in ns:
         idx = part.bands[n]
-        piece = SpectralField(f.lattice, f.xi[idx], f.c[idx])
-        rows.append(bracket(float(n)) ** spec.s
-                    * np.abs(_common_grid_samples(piece, f)))
+        rows.append(bracket(float(n)) ** spec.s * np.abs(grid_samples(f.xi[idx], f.c[idx], m)))
     stack = np.stack(rows)  # bands x gridpoints
     if math.isinf(spec.q):
         g = np.max(stack, axis=0)
     else:
         g = np.sum(stack**spec.q, axis=0) ** (1.0 / spec.q)
-    return math.sqrt(float(np.mean(g**2)) * f.lattice.weight)
-
-
-def _common_grid_samples(piece: SpectralField, full: SpectralField) -> np.ndarray:
-    """Band synthesis on a grid sized from the full field's support, so all
-    bands of one field share the same sample points: lattice.synthesize's
-    power-of-two grid and memory guard, not the shorter _fft_length of the
-    convolutions, since the length fixes the sample points behind the
-    amalgam norms, which a change of length would move beyond rounding."""
-    m = synthesis_length(full, _LINF_OVERSAMPLE)
-    spectrum = np.zeros(m, dtype=np.complex128)
-    spectrum[np.mod(piece.xi, m)] = piece.c
-    return np.fft.ifft(spectrum) * m
+    return GridField(g, f.lattice.weight).l2()
 
 
 # ----------------------------------------------------------------------

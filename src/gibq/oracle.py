@@ -152,7 +152,7 @@ def _sum_squares(x: np.ndarray) -> float:
 
 
 def rk4_solve(pair: InitialPair, horizon: float, dt: float,
-              support_closure: int, k: int = 2, nonlinear: bool = True,
+              support_closure: int, k: int = 2,
               node_degree: int = DEFAULT_DEGREE, tail_tol: float = TAIL_TOL,
               _retry: bool = True, *, trajectory: bool = True) -> tuple:
     """Integrate the Fourier-side system; returns (Trajectory, diagnostics),
@@ -207,7 +207,7 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
     # u's modes 0..K are stepped in place at the head of a block that is
     # zero up to the power's modes kK, so each step start passes it whole;
     # v holds the modes 0..K of the velocity
-    padded = np.zeros(k * K + 1 if nonlinear else K + 1, dtype=np.complex128)
+    padded = np.zeros(k * K + 1, dtype=np.complex128)
     u = padded[: K + 1]
     v = np.zeros(K + 1, dtype=np.complex128)
     for comp, half in ((pair.u0, u), (pair.u1, v)):
@@ -225,22 +225,21 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
 
     def force(w, out, monitored=False):
         """out = F(w) = -lam^2 (w - conv_weight (w^k)^); out may be w."""
-        if nonlinear:
-            if monitored:  # w is u, the head of padded: the whole power
-                power = _dense_conv_power(padded, k)
-                discarded, total = _tail_masses(power, K)
-                power = power[: K + 1]
-                if math.isfinite(total) and total > 0:
-                    tail = math.sqrt(discarded / total)
-                    diag.max_tail_fraction = max(diag.max_tail_fraction, tail)
-            else:
-                power = _dense_conv_power(w, k)
-            power *= conv_weight
-            # Sign matches the Duhamel form u = S(t)u0 + I_k(u) that the
-            # series solves; for even k this is the u -> -u image of the
-            # opposite convention, so all norms coincide.
-            w = np.subtract(w, power, out=out)
-        np.multiply(neg_lam2, w, out=out)
+        if monitored:  # w is u, the head of padded: the whole power
+            power = _dense_conv_power(padded, k)
+            discarded, total = _tail_masses(power, K)
+            power = power[: K + 1]
+            if math.isfinite(total) and total > 0:
+                tail = math.sqrt(discarded / total)
+                diag.max_tail_fraction = max(diag.max_tail_fraction, tail)
+        else:
+            power = _dense_conv_power(w, k)
+        power *= conv_weight
+        # Sign matches the Duhamel form u = S(t)u0 + I_k(u) that the
+        # series solves; for even k this is the u -> -u image of the
+        # opposite convention, so all norms coincide.
+        np.subtract(w, power, out=out)
+        np.multiply(neg_lam2, out, out=out)
 
     # Stage rows of the modes 0..K, in one block.  Round 1 writes F1 to
     # f_here and F2, of the argument in arg_there, to f_there; arg_there
@@ -301,7 +300,7 @@ def rk4_solve(pair: InitialPair, horizon: float, dt: float,
     if diag.blowup_time is None and diag.max_tail_fraction > tail_tol:
         if _retry:
             result, inner = rk4_solve(
-                pair, horizon, dt, 2 * K, k=k, nonlinear=nonlinear,
+                pair, horizon, dt, 2 * K, k=k,
                 node_degree=node_degree, tail_tol=tail_tol, _retry=False,
                 trajectory=trajectory,
             )

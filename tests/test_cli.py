@@ -48,6 +48,28 @@ def test_construct_writes_bump(tmp_path):
     assert len(doc["phi"]["entries"]) == 44
 
 
+def test_construct_refuses_an_N_past_the_int64_frequencies(capsys):
+    # n = 300 at delta = 1/4 schedules N = 300^8, above 2^63
+    assert run(["construct", "--n", "300", "--k", "2", "--s", "-0.75",
+                "--delta", "0.25"]) == 1
+    assert capsys.readouterr().err == (
+        "error: N = 65610000000000000000 puts the bump's frequencies 2N + A/2 "
+        "past the int64 range; the largest N is 4611686018427387901\n")
+
+
+@pytest.mark.parametrize("index,N", [({"n_list": [300]}, 300**8),
+                                     ({"N_list": [2**62]}, 2**62)], ids=["n", "N"])
+def test_a_sweep_point_past_the_int64_frequencies_is_an_error_row(tmp_path, index, N):
+    config = {key: value for key, value in _SWEEP.items() if key != "N_list"}
+    out = tmp_path / "runs"
+    assert run(["inflate", "--config", _config(tmp_path / "cfg.json", config, **index),
+                "--out", str(out)]) == 1
+    header, row = read_rows(out / "runs.csv")
+    assert row[header.index("error")] == (
+        f"ValueError: N = {N} puts the bump's frequencies 2N + A/2 past the "
+        f"int64 range; the largest N is 4611686018427387901")
+
+
 def test_inflate_missing_config_exits_2(tmp_path, capsys):
     code = run(["inflate", "--config", str(tmp_path / "missing.json"),
                 "--out", str(tmp_path / "runs")])
@@ -486,6 +508,34 @@ def test_every_csv_reads_back_at_the_header_width(tmp_path, command):
             errors.append(rows[1][rows[0].index("error")])
     if command == "inflate":
         assert errors == ["", "ValueError: delta_hint 5.0 outside the valid interval (0, 0.5)"]
+
+
+_FAMILIES = [{"family": "fourier_lebesgue", "q": 1}, {"family": "modulation", "q": None},
+             {"family": "wiener_amalgam", "q": 2}]
+
+
+@pytest.mark.parametrize("config", [
+    dict(_SWEEP, N_list=[2**40], families=_FAMILIES, J=4, p=16, method="series"),
+    dict(_SWEEP, families=_FAMILIES, base_amplitude=0.01, method="rk4",
+         rk4_depth=2, rk4_steps=100, rk4_tail_tol=1e9),
+], ids=["series", "rk4"])
+def test_each_dumped_report_refills_its_runs_csv_line(tmp_path, config):
+    from gibq.harness import InflationReport, _fill_row, csv_text
+
+    out = tmp_path / "runs"
+    assert run(["inflate", "--config", _config(tmp_path / "cfg.json", config),
+                "--out", str(out), "--dump-reports"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    lines = (out / "runs.csv").read_text().splitlines(keepends=True)
+    kind = "n" if "n_list" in config else "N"
+    for i, value in enumerate(config[f"{kind}_list"]):
+        report = InflationReport(**json.loads((out / f"run_{i:03d}.json").read_text()))
+        assert report.solution_norms is not None
+        row = dict.fromkeys(manifest["columns"])
+        row.update(index_kind=kind, index=value)
+        _fill_row(row, report, report.families)
+        text = csv_text(manifest["columns"], [[row[c] for c in manifest["columns"]]])
+        assert text.splitlines(keepends=True)[1] == lines[i + 1]
 
 
 def test_outputs_follow_the_umask_and_leave_no_temp_file(tmp_path):

@@ -120,6 +120,22 @@ def test_omega_support_enumeration():
     assert set(int(x) for x in omega) == expected
 
 
+def test_bump_frequencies_stay_inside_int64():
+    # the largest frequency is 2N + A/2; one N more would wrap around
+    largest = (2**63 - 1 - 5) // 2
+    omega = make_bump(schedule_from_N(largest, 2, -0.75, delta_hint=0.25)).omega_support
+    assert int(omega[-1]) == 2**63 - 1 and int(omega[0]) == -(2**63 - 1)
+    for N in (largest + 1, 2**62):
+        with pytest.raises(ValueError, match=f"the largest N is {largest}$"):
+            make_bump(schedule_from_N(N, 2, -0.75, delta_hint=0.25))
+
+
+def test_schedule_refuses_an_N_past_the_float_range():
+    # N = 40^200 is above 1.8e308
+    with pytest.raises(ValueError, match="passes the float range"):
+        schedule(40, 2, -0.75, delta_hint=0.01)
+
+
 def test_bump_amplitude_and_cardinality():
     params = schedule_from_N(256, 2, -0.75, delta_hint=0.25)
     bump = make_bump(params)
@@ -179,7 +195,7 @@ def test_base_data_small_next_to_bump():
     params = schedule_from_N(1024, 2, -0.75, delta_hint=0.25)
     lat = params.lattice()
     base = sample_base_data(0, 0.25, 0.5, lat)
-    margin = base.fl1() / (params.R * params.A)
+    margin = norm(base, NormSpec("wiener_pair")) / (params.R * params.A)
     assert margin < 0.1  # condition on the base Wiener norm, logged per run
 
 

@@ -21,6 +21,7 @@ from gibq.flow import (
     stable_sinc,
 )
 from gibq.lattice import FrequencyLattice, SpectralField, lambda_symbol
+from gibq.norms import NormSpec, norm
 
 from conftest import hermitian_field
 
@@ -135,7 +136,7 @@ def test_flow_velocity_mode_grows_linearly(lattice):
 def test_flow_l1_bounded_by_data(lattice):
     pair = InitialPair(hermitian_field(lattice, 1), hermitian_field(lattice, 2))
     traj = linear_flow(pair, 1.0, 16)
-    bound = pair.fl1()
+    bound = norm(pair, NormSpec("wiener_pair"))
     for f in traj.fields:
         assert f.l1() <= bound + 1e-12
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gibq.construction import make_bump, schedule_from_N
 from gibq.flow import InitialPair
 from gibq import lattice as lattice_module
-from gibq.lattice import FrequencyLattice, SpectralField, bracket
+from gibq.lattice import FrequencyLattice, SpectralField, bracket, synthesize
 from gibq.norms import (
     NormSpec,
     band_index,
@@ -43,6 +43,36 @@ def test_w_s2inf_synthesis_matches_the_nonnegative_spectrum_sum(lat):
     l2 = norm(summed, NormSpec("sobolev", -0.5))
     assert norm(summed, spec) > 2 * l2  # the sup, not the l2 part, decides
     assert norm(shifted, spec) == pytest.approx(norm(summed, spec), rel=1e-13)
+
+
+@pytest.mark.parametrize("lat", [FrequencyLattice(period=1.0, cutoff=1 << 20),
+                                 line_lattice()], ids=["torus", "line"])
+def test_grid_norms_and_the_linf_l2_constant_are_of_the_physical_field(lat):
+    # a nonnegative spectrum peaks at x = 0, a grid point, where the
+    # physical field (the lattice weight times the sums) is its weighted l1
+    xi = np.arange(-40, 41)
+    f = SpectralField(lat, xi, (1.0 / (1.0 + 0.1 * np.abs(xi))).astype(np.complex128))
+    grid = synthesize(f, oversample=8)
+    assert grid.max_abs() == pytest.approx(f.l1(), rel=1e-13)
+    assert grid.l2() == pytest.approx(f.l2(), rel=1e-13)
+    measured = check_embeddings(f, -0.5)[-1]
+    assert measured.name == "Linf vs L2 (measured C)"
+    assert (measured.lhs, measured.rhs) == (grid.max_abs(), grid.l2())
+
+
+@pytest.mark.parametrize("entry,label,q", [
+    ({"family": "fourier_lebesgue", "q": 1}, "fourier_lebesgue_q1", 1.0),
+    ({"family": "modulation", "q": 2.5}, "modulation_q2.5", 2.5),
+    ({"family": "wiener_amalgam", "q": None}, "wiener_amalgam_qinf", math.inf),
+    ({"family": "fourier_lebesgue", "q": "inf"}, "fourier_lebesgue_qinf", math.inf),
+    ({"family": "modulation"}, "modulation_qinf", math.inf),
+    ({"family": "sobolev", "q": 2}, "sobolev", 2.0),
+    ({"family": "w_s2inf"}, "w_s2inf", math.inf),
+])
+def test_spec_of_a_family_entry_and_its_label(entry, label, q):
+    spec = NormSpec.from_entry(entry, -0.75)
+    assert spec == NormSpec(entry["family"], -0.75, q)
+    assert spec.label == label
 
 
 def test_delta_sobolev_is_one(lattice):

@@ -7,6 +7,7 @@ from gibq import flow as flow_module
 from gibq.errors import DivergenceError
 from gibq.flow import InitialPair, duhamel_sum, duhamel_trajectory, linear_flow
 from gibq.lattice import FrequencyLattice, SpectralField
+from gibq.norms import NormSpec, norm
 from gibq.series import (
     fixed_point,
     partial_sum,
@@ -137,7 +138,7 @@ def test_tree_sum_identity(lattice, pair, k, j):
 
 def test_ledger_bounded_by_tree_estimate(lattice, pair):
     acc = partial_sum(pair, 2, 5, HORIZON, DEGREE)
-    m = pair.fl1()
+    m = norm(pair, NormSpec("wiener_pair"))
     fits = []
     for j in range(1, 6):
         bound = HORIZON ** (2 * j) * m ** (j + 1)
@@ -232,10 +233,8 @@ def test_fixed_point_divergence_detected(lattice):
 
 def test_sup_frequency_tree_estimate(lattice, pair):
     # sup_xi |term_j(T)| <= C^j T^(2j) M^((k-1)j-1) H0^2 with a stable fit
-    from gibq.norms import NormSpec, norm
-
     terms = xi_terms(pair, 2, 4, HORIZON, DEGREE)
-    m = pair.fl1()
+    m = norm(pair, NormSpec("wiener_pair"))
     h0_sq = norm(pair, NormSpec("sobolev_pair", 0.0)) ** 2
     fits = []
     for j in range(1, 5):
@@ -275,5 +274,5 @@ def test_measured_contraction_factor_order(lattice, pair):
     u2 = base + dt([u1, u1], DEGREE)
     u3 = base + dt([u2, u2], DEGREE)
     r1 = u2.sup_distance(u1) / u1.sup_distance(base)
-    predicted = 2 * 0.5 * HORIZON**2 * (2 * pair.fl1())
+    predicted = 2 * 0.5 * HORIZON**2 * (2 * norm(pair, NormSpec("wiener_pair")))
     assert r1 < predicted  # same order of magnitude, bounded by the estimate

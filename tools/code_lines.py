@@ -38,8 +38,10 @@ def code_lines(path: Path) -> int:
         for tok in tokenize.tokenize(handle.readline):
             if tok.type == tokenize.NEWLINE:
                 in_docstring = False
-            if tok.type == tokenize.STRING and tok.start in docstrings:
-                in_docstring = True  # its implicitly joined parts follow
+            if tok.start in docstrings:
+                # its first string, or the parenthesis around it; the
+                # implicitly joined parts follow
+                in_docstring = True
             if tok.type in _NOT_CODE or in_docstring:
                 continue
             lines.update(range(tok.start[0], tok.end[0] + 1))
