@@ -606,7 +606,7 @@ def grid_samples(xi: np.ndarray, c: np.ndarray, m: int) -> np.ndarray:
     complex: the spectrum is placed on the grid and inverted."""
     spectrum = np.zeros(m, dtype=np.complex128)
     spectrum[np.mod(xi, m)] = c
-    return np.fft.ifft(spectrum) * m
+    return np.fft.ifft(spectrum, norm="forward")
 
 
 def synthesize(f: SpectralField, oversample: int = 2) -> GridField:
@@ -620,5 +620,5 @@ def synthesize(f: SpectralField, oversample: int = 2) -> GridField:
     """
     if oversample < 2:
         raise ValueError("oversample must be >= 2")
-    samples = grid_samples(f.xi, f.c, synthesis_length(f, oversample)).real
+    samples = grid_samples(f.xi, f.c, synthesis_length(f, oversample)).real.copy()
     return GridField(samples=samples, weight_scale=f.lattice.weight)
