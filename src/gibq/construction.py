@@ -141,7 +141,10 @@ def schedule_from_N(N: int, k: int, s: float, sigma: float | None = None,
         raise ValueError(
             f"forced N must exceed A = {DEFAULT_A} for disjoint cubes"
         )
-    n = max(1, round(float(N) ** (delta / 2.0)))
+    try:
+        n = max(1, round(float(N) ** (delta / 2.0)))
+    except OverflowError:
+        raise ValueError(f"N = {N} passes the float range") from None
     return _params(n, N, k, s, sigma, delta, [f"N forced to {N}; nominal n={n}"])
 
 

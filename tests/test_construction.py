@@ -130,10 +130,12 @@ def test_bump_frequencies_stay_inside_int64():
             make_bump(schedule_from_N(N, 2, -0.75, delta_hint=0.25))
 
 
-def test_schedule_refuses_an_N_past_the_float_range():
+def test_schedules_refuse_an_N_past_the_float_range():
     # N = 40^200 is above 1.8e308
     with pytest.raises(ValueError, match="passes the float range"):
         schedule(40, 2, -0.75, delta_hint=0.01)
+    with pytest.raises(ValueError, match="passes the float range"):
+        schedule_from_N(10**400, 2, -0.75, delta_hint=0.25)
 
 
 def test_bump_amplitude_and_cardinality():
