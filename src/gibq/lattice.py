@@ -620,5 +620,6 @@ def synthesize(f: SpectralField, oversample: int = 2) -> GridField:
     """
     if oversample < 2:
         raise ValueError("oversample must be >= 2")
+    # a copy of the real part, so that the complex samples are freed
     samples = grid_samples(f.xi, f.c, synthesis_length(f, oversample)).real.copy()
     return GridField(samples=samples, weight_scale=f.lattice.weight)
