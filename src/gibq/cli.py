@@ -146,7 +146,7 @@ def _embedding_corpus(count: int, seed: int):
 def _cmd_norms(args) -> int:
     if args.check_embeddings:
         fields = _embedding_corpus(args.corpus_size, seed=args.seed)
-        rows = [(i, m.name, m.lhs, m.rhs, m.ratio, m.holds)
+        rows = [(i, m.name, m.lhs, m.rhs, m.ratio, None if m.measured else m.holds)
                 for i, f in enumerate(fields)
                 for m in check_embeddings(f, args.s)
                 + check_algebra(f, fields[(i + 1) % len(fields)])]

@@ -38,7 +38,7 @@ from .construction import (
 )
 from .errors import ConfigError, GibqError, SeriesDivergenceError
 from .flow import DEFAULT_DEGREE, InitialPair, duhamel, linear_flow
-from .lattice import SpectralField, bracket
+from .lattice import _FOLD_CAP, SpectralField, bracket
 from .norms import FAMILIES, PAIR_FAMILIES, NormSpec, norm
 from .oracle import TAIL_TOL, closure_from_depth, rk4_solve, xi1_closed_form
 from .series import FIXED_POINT_TOL, fixed_point, partial_sum
@@ -476,13 +476,18 @@ _BOOLEAN_KEYS = {"bump"}
 # needs the series generations 0..J for J >= 2, the schedule an arity k of
 # at least 2, and rk4_solve a step T / rk4_steps of at most T / 100.
 _MINIMUMS = {"p": 1, "seed": 0, "J": 2, "k": 2, "rk4_steps": 100}
+# The largest value of an integer key: the Duhamel kernel pass holds the
+# p + 1 quadrature rows of one time at every frequency, and refuses more
+# than _FOLD_CAP cells.
+_MAXIMUMS = {"p": _FOLD_CAP - 1}
 
 
 def check_keys(config, known: set, required: set, index_keys: tuple):
     """ConfigError unless config is an object of known keys with all the
     required ones, exactly one of the two index_keys, finite numbers where
     numbers are read, booleans where booleans are, values at least the
-    _MINIMUMS of their keys, no empty index list and s < 0."""
+    _MINIMUMS and at most the _MAXIMUMS of their keys, no empty index list
+    and s < 0."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(config) - known
@@ -508,6 +513,8 @@ def check_keys(config, known: set, required: set, index_keys: tuple):
             raise ConfigError(f"{key} must be true or false, not {value!r}")
         if key in _MINIMUMS and value < _MINIMUMS[key]:
             raise ConfigError(f"{key} must be at least {_MINIMUMS[key]}, not {value!r}")
+        if key in _MAXIMUMS and value > _MAXIMUMS[key]:
+            raise ConfigError(f"{key} must be at most {_MAXIMUMS[key]}, not {value!r}")
     if not config["s"] < 0:
         raise ConfigError("s must be negative")
 

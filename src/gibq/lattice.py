@@ -39,6 +39,9 @@ PRUNE_REL = 1e-14
 # (e.g. cubes around huge frequencies that no split packs) raises CapacityError.
 _FOLD_CAP = 1 << 23
 
+# Frequency indices are int64; a fold's product, and its span, must fit.
+_INT64 = np.iinfo(np.int64)
+
 # Version of the JSON documents of SpectralField and flow.Trajectory.
 JSON_VERSION = 1
 _DOC_KEYS = frozenset({"version", "period", "kind", "cutoff", "entries"})
@@ -375,10 +378,16 @@ def fold_product(rows, batch: int, prune: float):
     transform: a single row (the 1-D bounding box) for supports without
     wide gaps, a dense (m, r) grid for supports made of clusters spaced B
     apart.  Raises CapacityError when no grid fits under _FOLD_CAP padded
-    cells, or when the product at all times holds more than _FOLD_CAP.
+    cells, or when the product at all times holds more than _FOLD_CAP, and
+    ValueError when the product's frequencies, or their span, pass the
+    int64 range.
     """
     if any(sup.size == 0 for sup, _ in rows):
         return np.empty(0, np.int64), np.empty((rows[0][1].shape[0], 0), np.complex128)
+    lo, hi = (sum(int(sup[i]) for sup, _ in rows) for i in (0, -1))
+    if lo < _INT64.min or hi > _INT64.max or hi - lo > _INT64.max:
+        raise ValueError(f"the product's frequencies {lo}..{hi} (span {hi - lo}) "
+                         f"pass the int64 range {_INT64.min}..{_INT64.max}")
     layout = _fold_layout([sup for sup, _ in rows])
     if layout is None:
         raise CapacityError(f"no fold grid of the product fits in {_FOLD_CAP} cells")
@@ -465,6 +474,10 @@ def _cluster_split(sups):
     midpoint) / B.  The split is exact for any B; B only sets the grid
     size.  Returns a layout as _fold_layout does, or None when no support
     has two clusters.
+
+    Positions are taken from each support's first frequency, and the
+    doubled midpoints as uint64, which holds twice any span that int64
+    holds (fold_product checks the spans), so no sum wraps.
     """
     gaps = [np.diff(sup) for sup in sups]
     widths = np.unique(np.concatenate(gaps + [[1]]))
@@ -474,8 +487,9 @@ def _cluster_split(sups):
     for sup, g in zip(sups, gaps):
         cut = np.flatnonzero(g > cut_at)
         starts = np.append(0, cut + 1)
-        mid2 = sup[starts] + sup[np.append(cut, sup.size - 1)]
-        clusters.append((mid2, np.diff(np.append(starts, sup.size))))
+        rel = (sup - sup[0]).view(np.uint64)
+        mid2 = rel[starts] + rel[np.append(cut, sup.size - 1)]
+        clusters.append((rel, mid2 - mid2[0], np.diff(np.append(starts, sup.size))))
         if cut.size:
             closest = int(np.min(np.diff(mid2)))
             spacing2 = closest if spacing2 is None else min(spacing2, closest)
@@ -484,11 +498,12 @@ def _cluster_split(sups):
     base = max(1, (spacing2 + 1) // 2)
     parts = []
     n_rows = n_cols = 1
-    for sup, (mid2, sizes) in zip(sups, clusters):
-        m = np.repeat((mid2 - mid2[0] + base) // (2 * base), sizes)
-        r = sup - m * base
+    for sup, (rel, mid2, sizes) in zip(sups, clusters):
+        # the row nearest to mid2 / (2 base): floor((mid2 + base) / (2 base))
+        m = np.repeat((mid2 // base + 1) // 2, sizes)
+        r = (rel - m * np.uint64(base)).view(np.int64)  # exact modulo 2^64, and small
         r0 = int(r.min())
-        parts.append((m, r - r0, r0))
+        parts.append((m.view(np.int64), r - r0, int(sup[0]) + r0))
         n_rows += int(m[-1])
         n_cols += int(r.max()) - r0
     return base, parts, (n_rows, n_cols)
@@ -528,16 +543,22 @@ def _fold_batch(out, rows, layout, lo, width, prune):
     the given width, and prune it per time; the transform arrays are freed
     on return."""
     _, parts, (n_rows, n_cols) = layout
-    grids = np.zeros((len(rows), out.shape[0], _fft_length(n_rows), _fft_length(n_cols)),
+    # a factor that recurs (the same arrays) is scattered and transformed once
+    first = {}
+    which = [first.setdefault((id(sup), id(mat)), len(first)) for sup, mat in rows]
+    grids = np.zeros((len(first), out.shape[0], _fft_length(n_rows), _fft_length(n_cols)),
                      dtype=np.complex128)
-    for grid, (_, mat), (m, col, _) in zip(grids, rows, parts):
-        grid[:, m, col] = mat[lo:lo + out.shape[0]]
+    for i, ((_, mat), (m, col, _)) in enumerate(zip(rows, parts)):
+        if which[i] not in which[:i]:
+            grids[which[i]][:, m, col] = mat[lo:lo + out.shape[0]]
     # a single row takes plain transforms along its last axis
     fft, ifft = (np.fft.fft, np.fft.ifft) if n_rows == 1 else (np.fft.fft2, np.fft.ifft2)
     fft(grids, out=grids)
-    prod = grids[0]
-    for spec in grids[1:]:
-        prod *= spec
+    # the product overwrites the first factor's spectrum unless it is read
+    # again after the second factor has been multiplied in
+    prod = grids[0] if 0 not in which[2:] else grids[0].copy()
+    for w in which[1:]:
+        prod *= grids[w]
     dense = ifft(prod, out=prod)[:, :n_rows, :n_cols]
     for f in range(out.shape[1] - n_rows + 1):
         cols = dense[:, :, f * width:(f + 1) * width]

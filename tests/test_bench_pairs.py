@@ -82,3 +82,30 @@ def test_out_names_the_commit_of_each_checkout(tmp_path, monkeypatch):
     doc = json.loads(out.read_text())
     assert doc["commits"] == {"parent": _git(parent, "rev-parse", "HEAD"),
                               "change": _git(change, "rev-parse", "HEAD")}
+
+
+def test_cpu_seconds_are_read_from_the_diagnostics_and_reported(tmp_path, monkeypatch, capsys):
+    checkout = tmp_path / "checkout"
+    (checkout / "perfbench").mkdir(parents=True)
+    names = [m["name"] for m in json.loads(
+        (_PATH.parents[1] / "BENCHMARK.json").read_text())["end_to_end"]]
+    metrics = {name: {"value": 2.0, "unit": "s"} for name in names}
+    (checkout / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "print(json.dumps({'diagnostics': {'cpu_s': 8.5, 'walls_s': [1.0]}}))\n"
+        f"print(json.dumps({{'correct': True, 'metrics': {metrics!r}}}))\n")
+    assert bench_pairs.run_once(checkout, "desk_point", 1, 1.0) == dict.fromkeys(names, 2.0) | {
+        "cpu_s": 8.5}
+
+    cpu = {"parent": iter([9.0, 7.0, 8.0]), "change": iter([4.0, 6.0, 5.0])}
+    for side in cpu:
+        (tmp_path / side).mkdir()
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *args: dict.fromkeys(
+        names, 1.0) | {"cpu_s": next(cpu[checkout.name])})
+    out = tmp_path / "pairs.json"
+    bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                      "--workload", "desk_point", "--seeds", "1,2,3", "--out", str(out)])
+    assert "cpu_s (s, reported, not judged): parent 8, change 5" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["summary"]["cpu_s"] == {"parent_median": 8.0, "change_median": 5.0}
+    assert [run["cpu_s"] for run in doc["runs"]["change"]] == [4.0, 6.0, 5.0]

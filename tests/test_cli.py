@@ -240,6 +240,29 @@ def test_a_value_below_its_least_is_a_config_error(tmp_path, capsys, command, ke
     assert f"config error: {key} must be at least" in capsys.readouterr().err
 
 
+# the kernel pass refuses more than _FOLD_CAP cells, and each frequency
+# takes p + 1 quadrature rows: a p of 1e20 gave an error row per point,
+# "ValueError: Maximum allowed size exceeded", and exit 1
+@pytest.mark.parametrize("command", ["inflate", "solve"])
+def test_a_node_degree_past_the_kernel_pass_cap_is_a_config_error(tmp_path, capsys,
+                                                                  monkeypatch, command):
+    from gibq import cli, harness
+    from gibq.lattice import _FOLD_CAP
+
+    monkeypatch.setattr(harness, "run_inflation", _capture)
+    monkeypatch.setattr(cli, "partial_sum", _capture)
+    base = _SWEEP if command == "inflate" else _SOLVE
+    for p in (10**20, _FOLD_CAP):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(base, p=p)))
+        args = ["--out", str(tmp_path / "runs")] if command == "inflate" else []
+        assert run([command, "--config", str(cfg)] + args) == 2
+        assert (f"config error: p must be at most {_FOLD_CAP - 1}, not {p}"
+                in capsys.readouterr().err)
+    # the largest p passes
+    harness.check_keys(dict(base, p=_FOLD_CAP - 1), set(base) | {"p"}, set(), ("N_list", "n"))
+
+
 def test_an_empty_index_list_is_a_config_error(tmp_path, capsys, monkeypatch):
     # an empty list ran no point, exited 0 and wrote a header-only runs.csv
     from gibq import harness
@@ -508,6 +531,21 @@ def test_every_csv_reads_back_at_the_header_width(tmp_path, command):
             errors.append(rows[1][rows[0].index("error")])
     if command == "inflate":
         assert errors == ["", "ValueError: delta_hint 5.0 outside the valid interval (0, 0.5)"]
+
+
+def test_a_measured_constant_has_no_holds_cell(tmp_path):
+    # a measured constant has no bound to hold: its cell read true or
+    # false by whether the constant happened to be below one
+    out = tmp_path / "embeddings.csv"
+    assert run(["norms", "--check-embeddings", "--corpus-size", "3", "--out", str(out)]) == 0
+    header, *rows = read_rows(out)
+    holds = {}
+    for row in rows:
+        holds.setdefault(row[header.index("check")], set()).add(row[header.index("holds")])
+    measured = {name for name in holds if name.endswith("(measured C)")}
+    assert measured == {"Linf vs L2 (measured C)", "M(2,1) algebra (measured C)"}
+    assert all(holds[name] == {""} for name in measured)
+    assert all(holds[name] == {"true"} for name in set(holds) - measured)
 
 
 _FAMILIES = [{"family": "fourier_lebesgue", "q": 1}, {"family": "modulation", "q": None},

@@ -7,7 +7,7 @@ import pytest
 
 from gibq import flow, oracle
 from gibq import lattice as lattice_module
-from gibq.construction import make_bump, schedule_from_N
+from gibq.construction import make_bump, perturbed_data, sample_base_data, schedule_from_N
 from gibq.errors import CapacityError, CutoffOverflowError, LatticeMismatchError
 from gibq.flow import (
     InitialPair,
@@ -681,6 +681,118 @@ def test_transform_batches_stay_within_quadrature_size(monkeypatch, layout, quad
         # arguments' resolved degrees, is transformed once
         assert sum(batches) == traj.resolved_degree * len(args) + 1
         assert max(batches) <= quad_degree + 1
+
+
+# ----------------------------------------------------------------------
+# the two orders of the kernel pass, and one transform per recurring factor
+# ----------------------------------------------------------------------
+
+ORDERS = ("_integrate_values_first", "_integrate_weights_first")
+
+
+def dense_trajectory(N):
+    """Linear flow of the bump plus base data on every |xi| <= 64."""
+    params = schedule_from_N(N, 2, -0.75, delta_hint=0.25)
+    lattice = params.lattice()
+    data = perturbed_data(sample_base_data(3, 0.25, 0.5, lattice),
+                          make_bump(params, lattice))
+    return linear_flow(data, params.T)
+
+
+def kernel_pass_outputs(monkeypatch, args):
+    """duhamel_trajectory of args by the order the rule picks, then with
+    each order forced; the rule's pick is named too."""
+    picked = []
+
+    def recorded(name, order):
+        def integrate(*a):
+            picked.append(name)
+            return order(*a)
+        return integrate
+
+    for name in ORDERS:
+        monkeypatch.setattr(flow, name, recorded(name, getattr(flow, name)))
+    out = {"rule": duhamel_trajectory(args)}
+    monkeypatch.undo()
+    for name in ORDERS:
+        for other in ORDERS:
+            monkeypatch.setattr(flow, other, getattr(flow, name))
+        out[name] = duhamel_trajectory(args)
+        monkeypatch.undo()
+    return picked[0], out
+
+
+VALUES, WEIGHTS = ORDERS
+
+
+@pytest.mark.parametrize("N", [1 << 40, 1 << 11])
+def test_both_kernel_pass_orders_agree(monkeypatch, N):
+    # at N = 2^40 the symbol is 1.0 beyond |xi| ~ 1e8, so few lams serve
+    # many frequencies: 17 lams for the 403 of a cube of the linear flow,
+    # 12 for the 189 of its square; at N = 2^11 with base data nearly
+    # every |xi| has its own lam
+    if N == 1 << 40:
+        _, terms = bump_trajectories(N, 2)
+        lin = terms[0]
+        cases = [([lin, lin], VALUES, "row"), ([lin, lin, lin], WEIGHTS, "row"),
+                 ([terms[2], terms[1]], WEIGHTS, "trajectory"),
+                 ([terms[1], lin, lin], WEIGHTS, "trajectory")]
+    else:
+        dense = dense_trajectory(N)
+        cases = [([dense, dense], VALUES, "row")]
+    for args, rule_order, per in cases:
+        picked, out = kernel_pass_outputs(monkeypatch, args)
+        assert picked == rule_order
+        assert out["rule"].values.tobytes() == out[rule_order].values.tobytes()
+        a, b = out[VALUES], out[WEIGHTS]
+        assert np.array_equal(a.support, b.support)
+        assert np.array_equal(a.values != 0, b.values != 0)
+        # near t = 0 a product of later terms is far smaller than its
+        # rounding on the product grid, which both orders share (at the
+        # first node both differ from duhamel by 2e-4 of the row), so
+        # those are compared at the trajectory's largest entry
+        scale = np.max(np.abs(a.values), axis=1 if per == "row" else None, keepdims=True)
+        assert np.all(np.abs(a.values - b.values) <= 1e-13 * scale)
+
+
+def output_bytes(out):
+    """The bytes of a trajectory's or a field's frequencies and values."""
+    arrays = (out.support, out.values) if isinstance(out, Trajectory) else (out.xi, out.c)
+    return [a.tobytes() for a in arrays]
+
+
+def copied(traj):
+    """An equal trajectory that shares no array with traj."""
+    return Trajectory(traj.lattice, traj.horizon, traj.nodes.copy(),
+                      traj.support.copy(), traj.values.copy())
+
+
+@pytest.mark.parametrize("N", [1 << 9, 1 << 40])
+def test_a_recurring_factor_is_transformed_once(monkeypatch, N):
+    # the product of a factor that recurs takes its spectrum as often as
+    # it recurs, bit for bit what two equal but distinct factors give
+    horizon, terms = bump_trajectories(N, 1)
+    u, v = terms
+    grids = []
+    for name in ("fft", "fft2"):
+        transform = getattr(np.fft, name)
+
+        def spy(a, *rest, _transform=transform, **kw):
+            grids.append(a.shape[0])
+            return _transform(a, *rest, **kw)
+
+        monkeypatch.setattr(np.fft, name, spy)
+    for same, distinct, n_grids in (([u, u], [u, copied(u)], 1),
+                                    ([u, u, u], [u, copied(u), copied(u)], 1),
+                                    ([u, v, u], [u, v, copied(u)], 2)):
+        for evaluate in (duhamel_trajectory, lambda args: duhamel(args, horizon)):
+            grids.clear()
+            once = evaluate(same)
+            assert grids and set(grids) == {n_grids}
+            grids.clear()
+            apart = evaluate(distinct)
+            assert grids and set(grids) == {len(distinct)}
+            assert output_bytes(once) == output_bytes(apart)
 
 
 @pytest.mark.parametrize("lattice", [

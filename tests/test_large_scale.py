@@ -14,7 +14,10 @@ response).  The N = 2^40 report is the session fixture ``big_report`` in
 conftest.py, which acceptance criterion 6 also evaluates.
 """
 
+import pytest
+
 from gibq.construction import make_bump, schedule_from_N
+from gibq.harness import run_inflation
 from gibq.norms import NormSpec, norm
 from gibq.series import fixed_point, partial_sum, tail_residual
 
@@ -90,3 +93,17 @@ def test_smoothed_sup_norm_exact_without_grid():
     w = norm(bump.phi, NormSpec("w_s2inf", S))
     hs = norm(bump.phi.u0, NormSpec("sobolev", S))
     assert w <= (1 + 2 * (params.A + 1) ** 0.5) * hs
+
+
+def test_the_series_runs_up_to_the_int64_range():
+    # the two-scale fold split wrapped int64 from N = 2^58, where the
+    # supports span 2^62, and refused the product with a CapacityError;
+    # the perturbation norm scales as N^(-delta), so the rung 2^58 reads
+    # 2^(-1/4) of the rung 2^57
+    pert = [run_inflation(schedule_from_N(1 << e, K, S, delta_hint=DELTA), max_gen=4,
+                          method="series").perturbation["sobolev_pair"] for e in (57, 58)]
+    assert pert[1] / pert[0] == pytest.approx(2 ** -DELTA, rel=1e-9)
+    # at 2^59 the generation-3 product spans more than int64 holds
+    with pytest.raises(ValueError, match="int64 range"):
+        run_inflation(schedule_from_N(1 << 59, K, S, delta_hint=DELTA), max_gen=4,
+                      method="series")

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gibq import lattice as lattice_module
-from gibq.construction import make_bump, schedule_from_N
+from gibq.construction import make_bump, omega_frequencies, schedule_from_N
 from gibq.errors import CutoffOverflowError, LatticeMismatchError
 from gibq.lattice import (
     FrequencyLattice,
@@ -398,6 +398,62 @@ def test_convolve_huge_span_takes_the_two_scale_grid(monkeypatch, lattice):
     assert fg.get(far) == pytest.approx(1.0)
     assert fg.get(-far) == pytest.approx(1.0)
     assert fg.nnz == 5
+
+
+def signed_cluster_split(sups):
+    """The cluster split in signed int64 arithmetic, as _cluster_split
+    computed it before its doubled midpoints wrapped at N = 2^58."""
+    gaps = [np.diff(sup) for sup in sups]
+    widths = np.unique(np.concatenate(gaps + [[1]]))
+    cut_at = widths[np.argmax(widths[1:] / widths[:-1])] if widths.size > 1 else 1
+    cuts = [np.flatnonzero(g > cut_at) for g in gaps]
+    mids = [sup[np.append(0, cut + 1)] + sup[np.append(cut, sup.size - 1)]
+            for sup, cut in zip(sups, cuts)]
+    base = max(1, (min(int(np.min(np.diff(mid))) for mid in mids if mid.size > 1) + 1) // 2)
+    parts, n_rows, n_cols = [], 1, 1
+    for sup, cut, mid in zip(sups, cuts, mids):
+        sizes = np.diff(np.concatenate([[0], cut + 1, [sup.size]]))
+        m = np.repeat((mid - mid[0] + base) // (2 * base), sizes)
+        r = sup - m * base
+        parts.append((m, r - r.min(), int(r.min())))
+        n_rows += int(m[-1])
+        n_cols += int(r.max() - r.min())
+    return base, parts, (n_rows, n_cols)
+
+
+@pytest.mark.parametrize("e", [11, 40, 57])
+def test_cluster_split_keeps_its_layouts_below_two_to_the_58(e):
+    # the bump's cubes, the supports of its first two powers, and clusters
+    # of 11 modes at random centres within 5N, whose midpoints fall
+    # between the rows
+    N = 1 << e
+    sups = [omega_frequencies(N)]
+    for _ in range(2):
+        sups.append(np.unique(np.add.outer(sups[-1], sups[0])))
+    centres = np.random.default_rng(e).integers(-5 * N, 5 * N, 6)
+    sups.append(np.unique(np.add.outer(centres, np.arange(-5, 6))))
+    for factors in ([0, 0], [1, 0], [2, 1], [1, 0, 0], [2, 2], [3, 3], [3, 1]):
+        got = lattice_module._cluster_split([sups[i] for i in factors])
+        want = signed_cluster_split([sups[i] for i in factors])
+        assert got[0] == want[0] and got[2] == want[2]
+        for (m, col, r0), (wm, wcol, wr0) in zip(got[1], want[1]):
+            assert np.array_equal(m, wm) and np.array_equal(col, wcol) and r0 == wr0
+
+
+def test_a_product_up_to_the_int64_range_folds():
+    # frequencies -+a whose square spans 4a = 2^63 - 4, just inside int64;
+    # the signed split wrapped adding the base 2a to the doubled midpoint 4a
+    a = (1 << 61) - 1
+    lattice = FrequencyLattice(cutoff=1 << 64)
+    f = SpectralField(lattice, np.array([-a, a]), np.array([1.0, 2.0]))
+    ff = convolve(f, f)
+    assert ff.xi.tolist() == [-2 * a, 0, 2 * a]
+    assert ff.c == pytest.approx([1.0, 4.0, 4.0], rel=1e-14)
+    # one step further the span, and then the frequencies, pass it
+    for xi in ([-a - 1, a + 1], [1 << 62]):
+        g = SpectralField(lattice, np.array(xi), np.ones(len(xi)))
+        with pytest.raises(ValueError, match="int64 range"):
+            convolve(g, g)
 
 
 def test_prune_threshold_drops_dust(lattice):

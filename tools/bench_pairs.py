@@ -23,7 +23,11 @@ the pairs the change wins (ties count for neither side), and two rules:
   unresolved instead, unless every change run is better than every parent
   run.
 
---out writes every run's metrics, the summary, and the commit of each
+Each side's median cpu_s, the process CPU time of a run's measured
+iterations (from perfbench's diagnostics line), is printed as well; it is
+reported, not judged.
+
+--out writes every run's metrics and cpu_s, the summary, and the commit of each
 checkout (git rev-parse HEAD; null for a copy that is not the root of a
 git work tree) to a JSON file.
 
@@ -91,7 +95,9 @@ def verdict(parent, change, better: str, bound: float) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metrics of one perfbench run in checkout, as {name: value}."""
+    """The metrics of one perfbench run in checkout, as {name: value}, and
+    its cpu_s from the diagnostics line before the last (None when that
+    line has none)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -104,7 +110,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if not isinstance(record, dict) or record.get("correct") is not True:
         raise SystemExit(f"{checkout}: seed {seed}: run not correct: "
                          f"{lines[-1][:500]}")
-    return {name: m["value"] for name, m in record["metrics"].items()}
+    try:
+        diagnostics = json.loads(lines[-2])["diagnostics"]
+    except (IndexError, KeyError, ValueError):
+        diagnostics = {}
+    return {**{name: m["value"] for name, m in record["metrics"].items()},
+            "cpu_s": diagnostics.get("cpu_s")}
 
 
 def head_commit(checkout: Path) -> str | None:
@@ -166,6 +177,11 @@ def main(argv=None) -> int:
               f"change wins {s['change_wins']}/{len(seeds)}, "
               f"gain {'holds' if s['gain_holds'] else 'does not hold'}, "
               f"{s['verdict']}")
+    cpu = {side: [r.get("cpu_s") for r in runs[side]] for side in runs}
+    if all(v is not None for side in cpu.values() for v in side):
+        summary["cpu_s"] = {f"{side}_median": statistics.median(v) for side, v in cpu.items()}
+        print(f"cpu_s (s, reported, not judged): parent {summary['cpu_s']['parent_median']:.4g}, "
+              f"change {summary['cpu_s']['change_median']:.4g}")
     if args.out is not None:
         commits = {"parent": head_commit(args.parent),
                    "change": head_commit(args.change)}
