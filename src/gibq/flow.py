@@ -454,6 +454,7 @@ def _sine_kernel(spans, weights, lam):
 
 
 def _prune_rows(rows):
+    """Zero the entries of each row below PRUNE_REL times its largest."""
     mags = np.abs(rows)
     rows[mags < PRUNE_REL * np.max(mags, axis=1, keepdims=True, initial=0.0)] = 0
 
@@ -489,13 +490,13 @@ def _integrate_weights_first(n_times, lam, inverse, spans, weights, product, int
     allocated after the sums."""
     kernel = _sine_kernel(spans, weights, lam)
     sums = np.zeros((2, product.shape[1], spans.shape[0]))
-    term = np.empty(sums.shape[1:])
+    w, term = np.empty(sums.shape[1:]), np.empty(sums.shape[1:])
     for g in range(product.shape[0]):
-        w = np.take(np.einsum("ijl,ij->li", kernel, interp[:, :, g]), inverse, axis=0)
+        np.take(np.einsum("ijl,ij->li", kernel, interp[:, :, g]), inverse, axis=0, out=w)
         for acc, part in zip(sums, (product[g].real, product[g].imag)):
             np.multiply(w, part[:, None], out=term)
             acc += term
-    del kernel, term, w
+    del kernel, w, term
     out = np.zeros((n_times, product.shape[1]), dtype=np.complex128)
     rows = out[n_times - spans.shape[0]:]
     rows.real, rows.imag = sums[0].T, sums[1].T
