@@ -490,9 +490,9 @@ def _integrate_weights_first(n_times, lam, inverse, spans, weights, product, int
     allocated after the sums."""
     kernel = _sine_kernel(spans, weights, lam)
     sums = np.zeros((2, product.shape[1], spans.shape[0]))
-    w, term = np.empty(sums.shape[1:]), np.empty(sums.shape[1:])
-    for g in range(product.shape[0]):
-        np.take(np.einsum("ijl,ij->li", kernel, interp[:, :, g]), inverse, axis=0, out=w)
+    term = np.empty(sums.shape[1:])
+    for g in range(product.shape[0]):  # the product has at least one row
+        w = np.take(np.einsum("ijl,ij->li", kernel, interp[:, :, g]), inverse, axis=0)
         for acc, part in zip(sums, (product[g].real, product[g].imag)):
             np.multiply(w, part[:, None], out=term)
             acc += term
