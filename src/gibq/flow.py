@@ -428,77 +428,31 @@ def _integrate(lattice, xi, times, product, interp, quad_degree):
     interp[i] maps the rows of product to the quadrature nodes of
     times[i].  The kernel depends on xi through lam alone, which is even
     in xi and 1.0 in float64 beyond |omega| ~ 1e8, so there is one sine
-    per distinct lam.  When the distinct lams times the quadrature nodes
-    are at most the frequencies, as at high frequencies (17 to 51 lams for
-    403 to 3,895 frequencies in the N = 2^40 series), the kernel is
-    contracted with the interpolation first; otherwise (every pass at
-    N = 2^11) the product is interpolated first.  CapacityError is
-    raised, before any allocation, when the larger of the output and the
-    quadrature rows of one time exceeds _FOLD_CAP cells.
+    per distinct lam: 17 to 51 lams for 403 to 3,895 frequencies in the
+    N = 2^40 series, about one per |xi| at N = 2^11.  Each time takes one
+    pass: its kernel (quadrature nodes x lams) is contracted with its
+    interpolation rows into one weight per product row and lam, the
+    weights are gathered to the frequencies, and the time's row is their
+    sum over the product rows against the product's real and imaginary
+    parts, read through its float view.  The gathered weights hold half
+    the product's floats, so no array outgrows the larger of the product
+    and the quadrature rows of one time.  CapacityError is raised, before
+    any allocation, when the larger of the output and the quadrature rows
+    of one time exceeds _FOLD_CAP cells.
     """
     check_fold_cap(max(times.size, quad_degree + 1) * xi.size, "the kernel pass")
     lam, inverse = np.unique(lambda_symbol(xi, lattice), return_inverse=True)
-    lo = int(times[0] == 0.0)  # zero on [0, 0]
-    spans = times[lo:, None] - chebyshev_nodes(quad_degree, times[lo:, None])  # t - tau
-    weights = clenshaw_curtis_weights(quad_degree) * (times[lo:, None] / 2.0)
-    integrate = (_integrate_weights_first if lam.size * (quad_degree + 1) <= xi.size
-                 else _integrate_values_first)
-    return integrate(times.size, lam, inverse, spans, weights, product, interp[lo:])
-
-
-def _sine_kernel(spans, weights, lam):
-    """weight * sin(span * lam) * lam per (time, quadrature node, lam)."""
-    kernel = np.sin(spans[:, :, None] * lam) * lam
-    kernel *= weights[:, :, None]
-    return kernel
-
-
-def _prune_rows(rows):
-    """Zero the entries of each row below PRUNE_REL times its largest."""
-    mags = np.abs(rows)
-    rows[mags < PRUNE_REL * np.max(mags, axis=1, keepdims=True, initial=0.0)] = 0
-
-
-def _integrate_values_first(n_times, lam, inverse, spans, weights, product, interp):
-    """The kernel pass of _integrate, by interpolating the product to the
-    quadrature nodes of each time, multiplying by the kernel of each
-    frequency and summing.  spans, weights and interp are those of the
-    last times; the first n_times - len(spans) rows are zero.  The times
-    go in batches whose quadrature rows together fit in the rows of
-    product, or one at a time, so no array outgrows the larger of the
-    product and the quadrature rows of one time."""
-    out = np.zeros((n_times, product.shape[1]), dtype=np.complex128)
-    lo = n_times - spans.shape[0]
-    batch = max(1, product.shape[0] // spans.shape[1])
-    for i in range(0, spans.shape[0], batch):
-        kernel = _sine_kernel(spans[i:i + batch], weights[i:i + batch], lam)
-        values = _interpolate(interp[i:i + batch].reshape(-1, interp.shape[2]), product)
-        values = values.reshape(kernel.shape[:2] + (out.shape[1],))
-        values *= kernel[..., inverse]
-        _prune_rows(np.sum(values, axis=1, out=out[lo + i:lo + i + batch]))
-    return out
-
-
-def _integrate_weights_first(n_times, lam, inverse, spans, weights, product, interp):
-    """The kernel pass of _integrate, as _integrate_values_first, by
-    contracting the kernel with the interpolation first: for each product
-    row g the weights W[l, i] = sum_j kernel[i, j, l] interp[i, j, g] of
-    every lam and time, then sums += W[inverse] * product[g].  The sums
-    are kept xi first, so that the gather copies whole rows, and apart
-    for the real and imaginary parts; with the kernel (lams x quadrature
-    nodes <= xi per time) no array outgrows the output, which is
-    allocated after the sums."""
-    kernel = _sine_kernel(spans, weights, lam)
-    sums = np.zeros((2, product.shape[1], spans.shape[0]))
-    term = np.empty(sums.shape[1:])
-    for g in range(product.shape[0]):  # the product has at least one row
-        w = np.take(np.einsum("ijl,ij->li", kernel, interp[:, :, g]), inverse, axis=0)
-        for acc, part in zip(sums, (product[g].real, product[g].imag)):
-            np.multiply(w, part[:, None], out=term)
-            acc += term
-    del kernel, w, term
-    out = np.zeros((n_times, product.shape[1]), dtype=np.complex128)
-    rows = out[n_times - spans.shape[0]:]
-    rows.real, rows.imag = sums[0].T, sums[1].T
-    _prune_rows(rows)
+    spans = times[:, None] - chebyshev_nodes(quad_degree, times[:, None])  # t - tau
+    weights = clenshaw_curtis_weights(quad_degree) * (times[:, None] / 2.0)
+    parts = np.ascontiguousarray(product).view(np.float64)
+    out = np.zeros((times.size, xi.size), dtype=np.complex128)
+    sums = out.view(np.float64)
+    for i in range(int(times[0] == 0.0), times.size):  # zero on [0, 0]
+        kernel = np.sin(spans[i, :, None] * lam) * lam
+        kernel *= weights[i, :, None]
+        w = np.take(interp[i].T @ kernel, inverse, axis=1)
+        np.einsum("gx,gx->x", w, parts[:, 0::2], out=sums[i, 0::2])
+        np.einsum("gx,gx->x", w, parts[:, 1::2], out=sums[i, 1::2])
+    mags = np.abs(out)
+    out[mags < PRUNE_REL * np.max(mags, axis=1, keepdims=True, initial=0.0)] = 0
     return out

@@ -258,23 +258,24 @@ class SpectralField:
         return json.dumps(self.to_doc())
 
     @classmethod
-    def from_json(cls, text: str, cutoff: int = 1 << 40, kind: str = "torus") -> "SpectralField":
-        """Inverse of to_json; cutoff and kind are only used for documents
-        written without them."""
-        return cls.from_doc(json.loads(text), cutoff, kind)
+    def from_json(cls, text: str) -> "SpectralField":
+        """Inverse of to_json."""
+        return cls.from_doc(json.loads(text))
 
     @classmethod
-    def from_doc(cls, doc: dict, cutoff: int = 1 << 40, kind: str = "torus") -> "SpectralField":
+    def from_doc(cls, doc: dict) -> "SpectralField":
         """Field of a parsed to_json document.  Entries in strictly
         increasing order, as to_json writes them, are read back to the bit
         (signed zeros included); any other order is merged by from_pairs.
-        Raises ValueError for an unknown version or key."""
+        Raises ValueError for an unknown version or key, or a missing
+        lattice key."""
         check_json_doc(doc, _DOC_KEYS, "SpectralField")
+        missing = sorted(_DOC_KEYS - {"version"} - set(doc))
+        if missing:
+            raise ValueError(f"the SpectralField document lacks the keys {missing}")
         if any(not _ENTRY_KEYS.issuperset(e) for e in doc["entries"]):
             raise ValueError("unknown keys in a SpectralField entry")
-        lattice = FrequencyLattice(period=doc["period"],
-                                   cutoff=doc.get("cutoff", cutoff),
-                                   kind=doc.get("kind", kind))
+        lattice = FrequencyLattice(period=doc["period"], cutoff=doc["cutoff"], kind=doc["kind"])
         pairs = [(e["xi"], complex(e["re"], e["im"])) for e in doc["entries"]]
         xi = np.array([x for x, _ in pairs], dtype=np.int64)
         if np.all(np.diff(xi) > 0):
@@ -437,18 +438,16 @@ def _fold_layout(sups):
     full has no gaps that a split could remove, so when every support is,
     the 1-D box is taken without looking for clusters.
     """
-    box = _box_layout(sups)
-    box_padded = _padded(box[2][1])
+    box_padded = _padded(_box_cells(sups))
     fits = box_padded <= _FOLD_CAP
-    if all(2 * sup.size > int(sup[-1]) - int(sup[0]) for sup in sups):
-        return box if fits else None
-    split = _cluster_split(sups)
-    if split is not None:
-        n_rows, n_cols = split[2]
-        padded = _padded(n_rows) * _padded(n_cols)
-        if padded <= _FOLD_CAP and (not fits or padded < box_padded):
-            return split
-    return box if fits else None
+    if any(2 * sup.size <= int(sup[-1]) - int(sup[0]) for sup in sups):
+        split = _cluster_split(sups)
+        if split is not None:
+            n_rows, n_cols = split[2]
+            padded = _padded(n_rows) * _padded(n_cols)
+            if padded <= _FOLD_CAP and (not fits or padded < box_padded):
+                return split
+    return _box_layout(sups) if fits else None
 
 
 def _padded(n):
@@ -457,10 +456,14 @@ def _padded(n):
     return _fft_length(min(n, _FOLD_CAP + 1))
 
 
+def _box_cells(sups):
+    """The cells of the product's 1-D bounding box."""
+    return sum(int(sup[-1]) - int(sup[0]) for sup in sups) + 1
+
+
 def _box_layout(sups):
     """The 1-D bounding box: B = 0 and every support in row 0."""
-    box_cells = sum(int(sup[-1]) - int(sup[0]) for sup in sups) + 1
-    return 0, [(0, sup - sup[0], int(sup[0])) for sup in sups], (1, box_cells)
+    return 0, [(0, sup - sup[0], int(sup[0])) for sup in sups], (1, _box_cells(sups))
 
 
 def _cluster_split(sups):

@@ -86,9 +86,16 @@ def _lq(values: np.ndarray, weights, q: float) -> float:
     return float(np.sum(weights * values**q) ** (1.0 / q))
 
 
-def band_index(nu: np.ndarray) -> np.ndarray:
-    """Half-open unit band n + [-1/2, 1/2) containing each dual point."""
-    return np.floor(np.asarray(nu, dtype=float) + 0.5).astype(np.int64)
+def band_index(xi: np.ndarray, lattice) -> np.ndarray:
+    """Half-open unit band n + [-1/2, 1/2) containing the dual point
+    xi / period of each frequency.  For an integer period P it is
+    floor((2 xi + P) / 2P), exact in integers: xi itself on the unit
+    torus.  Other periods take floor(nu + 0.5) in float64."""
+    P = lattice.period
+    if float(P).is_integer() and P < 2.0**63:  # an int64 period
+        q, r = np.divmod(np.asarray(xi, dtype=np.int64), int(P))
+        return q + (r >= int(P) - r)  # 2r >= P, without overflow
+    return np.floor(lattice.dual_points(xi) + 0.5).astype(np.int64)
 
 
 @dataclass
@@ -110,7 +117,7 @@ def band_partition(f: SpectralField) -> BandPartition:
         return BandPartition(bands={})
     # xi is strictly increasing, so the band indices never decrease and
     # each band is one run of the support
-    n = band_index(f.lattice.dual_points(f.xi))
+    n = band_index(f.xi, f.lattice)
     bands, starts = np.unique(n, return_index=True)
     runs = np.split(np.arange(n.size, dtype=np.int64), starts[1:])
     return BandPartition(bands={int(b): ix for b, ix in zip(bands, runs)})
@@ -159,12 +166,9 @@ def norm(obj, spec: NormSpec) -> float:
 
     if spec.family == "modulation":
         part = band_partition(f)
-        ns = np.array(sorted(part.bands), dtype=float)
-        vals = np.array([
-            math.sqrt(float(np.sum(mag[part.bands[int(n)]] ** 2)) * w)
-            for n in ns
-        ])
-        return _lq(bracket(ns) ** spec.s * vals, 1.0, spec.q)
+        ns = sorted(part.bands)
+        vals = np.array([math.sqrt(float(np.sum(mag[part.bands[n]] ** 2)) * w) for n in ns])
+        return _lq(bracket(np.array(ns, dtype=float)) ** spec.s * vals, 1.0, spec.q)
 
     if spec.family == "wiener_amalgam":
         return _amalgam_norm(f, spec)

@@ -409,7 +409,8 @@ def test_norms_field_on_line_surrogate(tmp_path):
 def test_norms_field_with_a_repeated_frequency(tmp_path):
     entries = [{"xi": 2, "re": 0.0, "im": 1.0}, {"xi": 2, "re": 0.0, "im": 2.0}]
     path = tmp_path / "field.json"
-    path.write_text(json.dumps({"period": 1.0, "entries": entries}))
+    path.write_text(json.dumps({"period": 1.0, "kind": "torus", "cutoff": 64,
+                                "entries": entries}))
     out = tmp_path / "value.txt"
     assert run(["norms", "--field", str(path),
                 "--spec", "sobolev,0", "--out", str(out)]) == 0

@@ -530,28 +530,13 @@ def test_fold_cap_bounds_the_kernel_pass(monkeypatch):
         duhamel_trajectory([traj, traj])
 
 
-def test_batched_integral_matches_single_times(monkeypatch):
-    # k = 3: the product grid of degree three times the resolved degree
-    # holds at least 26 rows, so the kernel pass takes batches of two or
-    # more output nodes of 13 quadrature rows each
+def test_batched_integral_matches_single_times():
+    # k = 3 at quadrature degree 12: every node of the trajectory against
+    # the single-time integral
     lattice = FrequencyLattice(period=1.0, cutoff=1 << 20)
     traj = two_cluster_trajectory(lattice)
-    grid_rows = 3 * traj.resolved_degree + 1
-    batch = grid_rows // 13
-    assert batch >= 2 and grid_rows != traj.nodes.size
-    rows = []
-    interpolate = flow._interpolate
-
-    def spy(coeffs, values):
-        if values.shape[0] == grid_rows:  # from the product grid, not a trajectory
-            rows.append(coeffs.shape[0])
-        return interpolate(coeffs, values)
-
-    monkeypatch.setattr(flow, "_interpolate", spy)
     args = [traj, traj, traj]
     out = duhamel_trajectory(args, quad_degree=12)
-    # nodes 1..12 in batches; node 0, at t = 0, is zero
-    assert rows == [13 * min(batch, 12 - lo) for lo in range(0, 12, batch)]
     scale = np.max(np.abs(out.values))
     for i, t in enumerate(out.nodes):
         ref = duhamel(args, float(t), quad_degree=12)
@@ -684,11 +669,8 @@ def test_transform_batches_stay_within_quadrature_size(monkeypatch, layout, quad
 
 
 # ----------------------------------------------------------------------
-# the two orders of the kernel pass, and one transform per recurring factor
+# the kernel pass, and one transform per recurring factor
 # ----------------------------------------------------------------------
-
-ORDERS = ("_integrate_values_first", "_integrate_weights_first")
-
 
 def dense_trajectory(N):
     """Linear flow of the bump plus base data on every |xi| <= 64."""
@@ -699,60 +681,69 @@ def dense_trajectory(N):
     return linear_flow(data, params.T)
 
 
-def kernel_pass_outputs(monkeypatch, args):
-    """duhamel_trajectory of args by the order the rule picks, then with
-    each order forced; the rule's pick is named too."""
-    picked = []
-
-    def recorded(name, order):
-        def integrate(*a):
-            picked.append(name)
-            return order(*a)
-        return integrate
-
-    for name in ORDERS:
-        monkeypatch.setattr(flow, name, recorded(name, getattr(flow, name)))
-    out = {"rule": duhamel_trajectory(args)}
-    monkeypatch.undo()
-    for name in ORDERS:
-        for other in ORDERS:
-            monkeypatch.setattr(flow, other, getattr(flow, name))
-        out[name] = duhamel_trajectory(args)
-        monkeypatch.undo()
-    return picked[0], out
+def direct_integral(lattice, xi, times, product, interp, quad_degree):
+    """The kernel pass written out: the product interpolated to every
+    quadrature node, times the kernel of each frequency, summed, and each
+    row pruned at its largest entry."""
+    lam = lambda_symbol(xi, lattice)
+    out = np.zeros((times.size, xi.size), dtype=np.complex128)
+    for i, t in enumerate(times):
+        taus = chebyshev_nodes(quad_degree, t)
+        weights = clenshaw_curtis_weights(quad_degree) * (t / 2.0)
+        kernel = np.sin((t - taus)[:, None] * lam) * lam * weights[:, None]
+        out[i] = np.sum(kernel * (interp[i] @ product), axis=0)
+        mags = np.abs(out[i])
+        out[i][mags < lattice_module.PRUNE_REL * np.max(mags, initial=0.0)] = 0
+    return out
 
 
-VALUES, WEIGHTS = ORDERS
-
-
-@pytest.mark.parametrize("N", [1 << 40, 1 << 11])
-def test_both_kernel_pass_orders_agree(monkeypatch, N):
-    # at N = 2^40 the symbol is 1.0 beyond |xi| ~ 1e8, so few lams serve
-    # many frequencies: 17 lams for the 403 of a cube of the linear flow,
-    # 12 for the 189 of its square; at N = 2^11 with base data nearly
-    # every |xi| has its own lam
-    if N == 1 << 40:
-        _, terms = bump_trajectories(N, 2)
+def kernel_pass_cases(name):
+    """(args, quad_degree, scale) per case: the bump's terms at N = 2^40,
+    base data at N = 2^11, two clusters.  Products of linear flows are
+    compared at each row's largest entry, products of later terms at the
+    trajectory's (near t = 0 such a product is far smaller than its
+    rounding on the product grid, 2e-4 of the first node's row)."""
+    if name == "bump":
+        # lam is 1.0 beyond |xi| ~ 1e8: 17 lams for the 403 frequencies of
+        # the cube of the linear flow, 12 for the 189 of its square
+        _, terms = bump_trajectories(1 << 40, 2)
         lin = terms[0]
-        cases = [([lin, lin], VALUES, "row"), ([lin, lin, lin], WEIGHTS, "row"),
-                 ([terms[2], terms[1]], WEIGHTS, "trajectory"),
-                 ([terms[1], lin, lin], WEIGHTS, "trajectory")]
-    else:
-        dense = dense_trajectory(N)
-        cases = [([dense, dense], VALUES, "row")]
-    for args, rule_order, per in cases:
-        picked, out = kernel_pass_outputs(monkeypatch, args)
-        assert picked == rule_order
-        assert out["rule"].values.tobytes() == out[rule_order].values.tobytes()
-        a, b = out[VALUES], out[WEIGHTS]
-        assert np.array_equal(a.support, b.support)
-        assert np.array_equal(a.values != 0, b.values != 0)
-        # near t = 0 a product of later terms is far smaller than its
-        # rounding on the product grid, which both orders share (at the
-        # first node both differ from duhamel by 2e-4 of the row), so
-        # those are compared at the trajectory's largest entry
-        scale = np.max(np.abs(a.values), axis=1 if per == "row" else None, keepdims=True)
-        assert np.all(np.abs(a.values - b.values) <= 1e-13 * scale)
+        return [([lin, lin], 16, "row"), ([lin, lin, lin], 16, "row"),
+                ([terms[2], terms[1]], 16, "trajectory"),
+                ([terms[1], lin, lin], 16, "trajectory")]
+    if name == "dense":
+        # base data on every |xi| <= 64: nearly every |xi| has its own lam
+        dense = dense_trajectory(1 << 11)
+        return [([dense, dense], 16, "row")]
+    lattice = FrequencyLattice(period=1.0, cutoff=1 << 20)
+    traj = two_cluster_trajectory(lattice)
+    # a support that is not symmetric: lam(xi) and lam(-xi) meet unpaired
+    xi = np.concatenate([np.arange(-40, 41), np.arange(100, 181)])
+    rng = np.random.default_rng(6)
+    c = rng.standard_normal(xi.size) + 1j * rng.standard_normal(xi.size)
+    field = SpectralField(lattice, xi, c)
+    lopsided = linear_flow(InitialPair(field, field.scale(0.5)), 0.7, 12)
+    return [([traj, traj, traj], 12, "row"), ([lopsided, lopsided], 16, "row")]
+
+
+@pytest.mark.parametrize("name", ["bump", "dense", "clusters"])
+def test_kernel_pass_matches_a_direct_evaluation(monkeypatch, name):
+    passes = []
+    integrate = flow._integrate
+
+    def spy(*args):
+        passes.append((args, integrate(*args)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(flow, "_integrate", spy)
+    for args, quad_degree, per in kernel_pass_cases(name):
+        passes.clear()
+        duhamel_trajectory(args, quad_degree=quad_degree)
+        (inputs, out), = passes
+        ref = direct_integral(*inputs)
+        assert np.array_equal(out != 0, ref != 0)
+        scale = np.max(np.abs(ref), axis=1 if per == "row" else None, keepdims=True)
+        assert np.all(np.abs(out - ref) <= 1e-13 * scale)
 
 
 def output_bytes(out):

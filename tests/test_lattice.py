@@ -305,7 +305,7 @@ def test_fft_length_of_the_rk4_blocks(N):
 
 def test_json_roundtrip(lattice):
     f = hermitian_field(lattice, seed=5, max_freq=6)
-    g = SpectralField.from_json(f.to_json(), cutoff=lattice.cutoff)
+    g = SpectralField.from_json(f.to_json())
     assert np.array_equal(f.xi, g.xi)
     assert np.array_equal(f.c, g.c)
 
@@ -320,10 +320,13 @@ def test_json_roundtrip_keeps_the_lattice():
     assert norm(g, spec) == norm(f, spec)
 
 
-def test_json_without_lattice_keys_uses_arguments():
-    doc = {"period": 1.0, "entries": [{"xi": 2, "re": 1.0, "im": 0.0}]}
-    g = SpectralField.from_json(json.dumps(doc), cutoff=64, kind="line_approx")
-    assert g.lattice == FrequencyLattice(period=1.0, cutoff=64, kind="line_approx")
+def test_json_without_a_lattice_key_names_it():
+    f = SpectralField.from_pairs(FrequencyLattice(cutoff=64), [(2, 1.0)])
+    for key in ("cutoff", "kind", "period"):
+        doc = json.loads(f.to_json())
+        del doc[key]
+        with pytest.raises(ValueError, match=key):
+            SpectralField.from_json(json.dumps(doc))
 
 
 def test_json_versioned_roundtrip_and_unversioned_documents(lattice):
@@ -354,7 +357,8 @@ def test_repeated_frequencies_are_summed(lattice):
     assert f.xi.tolist() == [-2, 1] and f.c.tolist() == [1.0, 3j]
     entries = [{"xi": x, "re": c.real, "im": c.imag}
                for x, c in ((1, 1j), (-2, 1.0), (1, 2j))]
-    g = SpectralField.from_json(json.dumps({"period": 1.0, "entries": entries}))
+    doc = {"period": 1.0, "kind": "torus", "cutoff": lattice.cutoff, "entries": entries}
+    g = SpectralField.from_json(json.dumps(doc))
     assert g.xi.tolist() == [-2, 1] and g.c.tolist() == [1.0, 3j]
 
 
