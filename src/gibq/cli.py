@@ -24,7 +24,7 @@ from .errors import ConfigError, GibqError
 from .flow import InitialPair
 from .harness import (SCHEMA_VERSION, check_keys, config_args, csv_text, point_params,
                       sweep, validate_config)
-from .lattice import FrequencyLattice, SpectralField
+from .lattice import FrequencyLattice, SpectralField, real_field
 from .norms import NormSpec, check_algebra, check_embeddings, norm
 from .oracle import (
     TAIL_TOL,
@@ -136,10 +136,7 @@ def _embedding_corpus(count: int, seed: int):
         n_modes = int(rng.integers(3, 40))
         xi = rng.choice(np.arange(1, 64), size=n_modes, replace=False)
         amps = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-        pairs = [(int(x), a) for x, a in zip(xi, amps)]
-        pairs += [(-int(x), np.conj(a)) for x, a in zip(xi, amps)]
-        pairs += [(0, float(rng.standard_normal()))]
-        fields.append(SpectralField.from_pairs(lattice, pairs))
+        fields.append(real_field(lattice, rng.standard_normal(), xi, amps))
     return fields
 
 

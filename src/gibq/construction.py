@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import LatticeMismatchError
 from .flow import InitialPair
-from .lattice import FrequencyLattice, SpectralField, _next_pow2
+from .lattice import FrequencyLattice, SpectralField, _next_pow2, real_field
 
 CUBE_CENTERS = (-2, -1, 1, 2)  # multiples of N carrying the bump cubes
 DEFAULT_A = 10
@@ -201,11 +201,7 @@ def sample_base_data(seed: int, decay_rate: float, amplitude: float,
         envelope = amplitude * np.exp(-decay_rate * xi_pos)
         z = (rng.standard_normal(max_freq) + 1j * rng.standard_normal(max_freq))
         z *= envelope
-        c0 = amplitude * rng.standard_normal()
-        pairs = [(0, c0)]
-        pairs += [(int(x), v) for x, v in zip(xi_pos, z)]
-        pairs += [(-int(x), np.conj(v)) for x, v in zip(xi_pos, z)]
-        comps.append(SpectralField.from_pairs(lattice, pairs))
+        comps.append(real_field(lattice, amplitude * rng.standard_normal(), xi_pos, z))
     if amplitude == 0:
         return InitialPair.zero(lattice)
     return InitialPair(comps[0], comps[1])

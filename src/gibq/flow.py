@@ -52,9 +52,6 @@ DEFAULT_DEGREE = 16
 
 _DOC_KEYS = frozenset({"version", "horizon", "nodes", "fields"})
 
-# Below this |t*lam| the sine quotient switches to its Taylor series.
-_SINC_SWITCH = 1e-4
-
 # Chebyshev coefficients at most this multiple of a trajectory's largest
 # coefficient are rounding: the chop of Trajectory.resolved_degree.  The
 # rounding of node values puts up to about 10 eps there for polynomials of
@@ -64,13 +61,10 @@ _CHOP_REL = 16 * np.finfo(np.float64).eps
 
 
 def stable_sinc(x):
-    """sin(x)/x with a 4-term Taylor series below the switch threshold."""
+    """sin(x)/x, and 1 at x = 0.  Near 0 the quotient suffers no
+    cancellation (sin(x) = x(1 - x^2/6 + ...)), so it needs no series."""
     x = np.asarray(x, dtype=float)
-    x2 = x * x
-    series = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        direct = np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
-    out = np.where(np.abs(x) < _SINC_SWITCH, series, direct)
+    out = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
     return out if out.ndim else float(out)
 
 

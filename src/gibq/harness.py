@@ -542,6 +542,11 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("families must be a list of {family, q} objects")
     for entry in config["families"]:
         _check_family(entry)
+    # each label names three runs.csv columns and a key of every report
+    labels = [NormSpec.from_entry(entry).label for entry in config["families"]]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigError(f"two families entries have the label {label!r}")
     return config
 
 

@@ -283,6 +283,15 @@ class SpectralField:
         return cls.from_pairs(lattice, pairs)
 
 
+def real_field(lattice: FrequencyLattice, c0, xi, values) -> SpectralField:
+    """The real field with mode 0 at c0 and values[i] at each xi[i] > 0,
+    mirrored to conj(values[i]) at -xi[i]."""
+    xi = np.asarray(xi, dtype=np.int64)
+    values = np.asarray(values, dtype=np.complex128)
+    return SpectralField(lattice, *merge_terms(np.concatenate([[0], xi, -xi]),
+                                               np.concatenate([[c0], values, values.conj()])))
+
+
 def merge_terms(xi: np.ndarray, c: np.ndarray) -> tuple:
     """Sorted distinct frequencies of the terms c[i] at xi[i] and their sums
     (in the order given), without the zero sums."""

@@ -98,29 +98,22 @@ def band_index(xi: np.ndarray, lattice) -> np.ndarray:
     return np.floor(lattice.dual_points(xi) + 0.5).astype(np.int64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BandPartition:
-    """Sharp partition of a field's support into unit dual bands."""
+    """Sharp partition of a field's support into unit dual bands.  The
+    support is sorted, so the band indices never decrease and band ids[k]
+    is the run starts[k]:starts[k + 1] of it (the last run ends at nnz)."""
 
-    bands: dict  # n -> index array into the field's support
+    ids: np.ndarray
+    starts: np.ndarray
 
-    def energies(self, f: SpectralField) -> dict:
-        w = f.lattice.weight
-        return {
-            n: float(np.sum(np.abs(f.c[idx]) ** 2) * w)
-            for n, idx in self.bands.items()
-        }
+    def energies(self, f: SpectralField) -> np.ndarray:
+        """The squared L2 norm of each band's part of f, in band order."""
+        return np.add.reduceat(np.abs(f.c) ** 2, self.starts) * f.lattice.weight
 
 
 def band_partition(f: SpectralField) -> BandPartition:
-    if f.nnz == 0:
-        return BandPartition(bands={})
-    # xi is strictly increasing, so the band indices never decrease and
-    # each band is one run of the support
-    n = band_index(f.xi, f.lattice)
-    bands, starts = np.unique(n, return_index=True)
-    runs = np.split(np.arange(n.size, dtype=np.int64), starts[1:])
-    return BandPartition(bands={int(b): ix for b, ix in zip(bands, runs)})
+    return BandPartition(*np.unique(band_index(f.xi, f.lattice), return_index=True))
 
 
 def norm(obj, spec: NormSpec) -> float:
@@ -164,41 +157,38 @@ def norm(obj, spec: NormSpec) -> float:
             linf = synthesize(g, oversample=_LINF_OVERSAMPLE).max_abs()
         return max(l2, linf)
 
-    if spec.family == "modulation":
+    if spec.family in ("modulation", "wiener_amalgam"):
+        # norm() calls the module's band_partition by name, so a wrapper
+        # installed on it sees every partition
         part = band_partition(f)
-        ns = sorted(part.bands)
-        vals = np.array([math.sqrt(float(np.sum(mag[part.bands[n]] ** 2)) * w) for n in ns])
-        return _lq(bracket(np.array(ns, dtype=float)) ** spec.s * vals, 1.0, spec.q)
-
-    if spec.family == "wiener_amalgam":
-        return _amalgam_norm(f, spec)
+        wts = bracket(part.ids) ** spec.s
+        if spec.family == "modulation":
+            return _lq(wts * np.sqrt(part.energies(f)), 1.0, spec.q)
+        return _amalgam_norm(f, part, wts, spec.q)
 
     raise ValueError(f"unhandled family {spec.family}")
 
 
-def _amalgam_norm(f: SpectralField, spec: NormSpec) -> float:
-    """L2 over the grid of the lq-over-bands of weighted band syntheses."""
-    part = band_partition(f)
-    ns = sorted(part.bands)
-    if all(part.bands[n].size == 1 for n in ns):
+def _amalgam_norm(f: SpectralField, part: BandPartition, wts: np.ndarray, q: float) -> float:
+    """L2 over the grid of the lq-over-bands of the band syntheses |P_n f|
+    weighted by wts."""
+    if part.ids.size == f.nnz:
         # single-point bands: |P_n f(x)| is constant in x, L2 drops out
-        vals = np.array([abs(f.c[part.bands[n][0]]) for n in ns])
-        wts = np.array([bracket(float(n)) ** spec.s for n in ns])
-        return _lq(wts * vals, 1.0, spec.q) * math.sqrt(f.lattice.weight)
-    # every band is synthesized on the grid synthesize would take for the
-    # whole field, so all bands share its sample points (see synthesize
+        return _lq(wts * np.abs(f.c), 1.0, q) * math.sqrt(f.lattice.weight)
+    stops = np.append(part.starts[1:], f.nnz)
+    multi = stops - part.starts > 1
+    flat = wts[~multi] * np.abs(f.c[part.starts[~multi]])
+    # the lq sum at each grid point: the max of the bands for q = inf, else
+    # the sum of their q-th powers.  The single-point bands add a constant;
+    # every other band is synthesized on the grid synthesize would take for
+    # the whole field, so all bands share its sample points (see synthesize
     # for why that length stays a power of two)
-    m = synthesis_length(f, _LINF_OVERSAMPLE)
-    rows = []
-    for n in ns:
-        idx = part.bands[n]
-        rows.append(bracket(float(n)) ** spec.s * np.abs(grid_samples(f.xi[idx], f.c[idx], m)))
-    stack = np.stack(rows)  # bands x gridpoints
-    if math.isinf(spec.q):
-        g = np.max(stack, axis=0)
-    else:
-        g = np.sum(stack**spec.q, axis=0) ** (1.0 / spec.q)
-    return GridField(g, f.lattice.weight).l2()
+    op, p = (np.maximum, 1.0) if math.isinf(q) else (np.add, q)
+    g = np.full(synthesis_length(f, _LINF_OVERSAMPLE), op.reduce(flat**p, initial=0.0))
+    for k in np.flatnonzero(multi):
+        run = slice(part.starts[k], stops[k])
+        op(g, (wts[k] * np.abs(grid_samples(f.xi[run], f.c[run], g.size))) ** p, out=g)
+    return GridField(g ** (1.0 / p), f.lattice.weight).l2()
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 
 from .construction import make_bump, sample_base_data, schedule
 from .flow import InitialPair, duhamel, linear_flow
-from .lattice import FrequencyLattice, SpectralField, convolve, synthesize
+from .lattice import FrequencyLattice, SpectralField, convolve, real_field, synthesize
 from .norms import NormSpec, check_algebra, norm
 from .oracle import convolution_sandwich, xi1_closed_form
 from .series import partial_sum, tree_term, xi_terms
@@ -21,10 +21,7 @@ def _seeded_field(lattice, seed: int, max_freq: int = 24) -> SpectralField:
     rng = np.random.default_rng(seed)
     xi = np.arange(1, max_freq + 1)
     z = rng.standard_normal(max_freq) + 1j * rng.standard_normal(max_freq)
-    pairs = [(0, float(rng.standard_normal()))]
-    pairs += [(int(x), v) for x, v in zip(xi, z)]
-    pairs += [(-int(x), np.conj(v)) for x, v in zip(xi, z)]
-    return SpectralField.from_pairs(lattice, pairs)
+    return real_field(lattice, rng.standard_normal(), xi, z)
 
 
 def verify_all(quick: bool = True) -> list:

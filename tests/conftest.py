@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, settings
 
 from gibq.construction import schedule_from_N
 from gibq.harness import run_inflation
-from gibq.lattice import FrequencyLattice, SpectralField
+from gibq.lattice import FrequencyLattice, real_field
 
 # One point past the contraction threshold N ~ 5e10, with the acceptance
 # sweep's k, s, delta, generation count J = 4 and quadrature degree p = 16.
@@ -44,7 +44,4 @@ def hermitian_field(lattice, seed, max_freq=24, amplitude=1.0):
     xi = np.arange(1, max_freq + 1)
     z = (rng.standard_normal(max_freq) + 1j * rng.standard_normal(max_freq))
     z *= amplitude * np.exp(-0.1 * xi)
-    pairs = [(0, amplitude * rng.standard_normal())]
-    pairs += [(int(x), v) for x, v in zip(xi, z)]
-    pairs += [(-int(x), np.conj(v)) for x, v in zip(xi, z)]
-    return SpectralField.from_pairs(lattice, pairs)
+    return real_field(lattice, amplitude * rng.standard_normal(), xi, z)

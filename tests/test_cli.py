@@ -305,6 +305,24 @@ def test_family_q_may_be_a_number_null_or_inf():
     validate_config(dict(_SWEEP, families=families))
 
 
+@pytest.mark.parametrize("pair,label", [
+    ([{"family": "modulation", "q": 1}, {"family": "modulation", "q": 1.0}], "modulation_q1"),
+    ([{"family": "fourier_lebesgue", "q": "inf"}, {"family": "fourier_lebesgue"}],
+     "fourier_lebesgue_qinf"),
+    ([{"family": "sobolev", "q": 2}, {"family": "sobolev"}], "sobolev"),
+])
+def test_inflate_refuses_two_families_with_one_label(tmp_path, capsys, monkeypatch, pair, label):
+    # each label names three runs.csv columns and a key of every report
+    from gibq import harness
+
+    monkeypatch.setattr(harness, "run_inflation", _capture)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_SWEEP, families=[{"family": "w_s2inf"}] + pair)))
+    assert run(["inflate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+    assert f"config error: two families entries have the label '{label}'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def _signature_defaults(names: dict) -> dict:
     """Config values that write out run_inflation's defaults of the
     parameters that names maps config keys to."""

@@ -40,3 +40,16 @@ def test_only_code_lines_count(tmp_path):
     path = tmp_path / "module.py"
     path.write_text(_MODULE)
     assert code_lines.code_lines(path) == 9
+
+
+def test_each_module_shows_code_and_physical_lines(tmp_path, monkeypatch, capsys):
+    (tmp_path / "module.py").write_text(_MODULE)
+    (tmp_path / "empty.py").write_text("")
+    monkeypatch.setattr(code_lines, "PACKAGE", tmp_path)
+    assert code_lines.main() == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "  code  lines  module",
+        "     0      0  empty.py",
+        "     9     25  module.py",
+        "     9     25  total",
+    ]

@@ -108,9 +108,24 @@ def test_sinc_path_continuous_near_zero():
         assert value == pytest.approx(t, abs=1e-12)
 
 
-def test_sinc_matches_direct_above_switch():
+def test_sinc_matches_direct_away_from_zero():
     x = 0.37
     assert stable_sinc(x) == pytest.approx(math.sin(x) / x, rel=1e-15)
+
+
+def test_sinc_is_one_at_zero():
+    assert stable_sinc(0.0) == 1.0
+    assert stable_sinc(-0.0) == 1.0
+    values = stable_sinc(np.array([0.0, -0.0, 1e-300]))
+    assert values.tolist() == [1.0, 1.0, 1.0]
+
+
+def test_sinc_matches_its_taylor_series_near_zero():
+    # below 1e-4 the series 1 - x^2/6 + x^4/120 is exact to 1e-23
+    x = np.concatenate([np.logspace(-300, -4, 2000), -np.logspace(-12, -4, 200)])
+    x2 = x * x
+    series = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+    assert np.max(np.abs(stable_sinc(x) - series)) <= 2.3e-16
 
 
 # ----------------------------------------------------------------------

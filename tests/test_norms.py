@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gibq.cli import _embedding_corpus
 from gibq.construction import make_bump, schedule_from_N
 from gibq.flow import InitialPair
 from gibq import lattice as lattice_module
@@ -147,7 +148,14 @@ def test_pair_norm_is_component_sum(lattice):
 def test_band_partition_single_frequency(lattice):
     f = SpectralField.delta(lattice, 3, 1.0)
     part = band_partition(f)
-    assert set(part.bands) == {3}
+    assert part.ids.tolist() == [3]
+    assert part.starts.tolist() == [0]
+
+
+def _torus_field_past_two_to_the_52(b):
+    torus = FrequencyLattice(period=1.0, cutoff=1 << 61)
+    xi = np.array([-b - 2, -b - 1, b + 1, b + 2])
+    return SpectralField(torus, xi, np.array([1.0, 2.0 - 1j, 2.0 + 1j, 1.0]))
 
 
 @pytest.mark.parametrize("b", [1 << 52, 1 << 60])
@@ -155,10 +163,8 @@ def test_torus_bands_stay_single_frequencies_above_two_to_the_52(b):
     # from 2^52 on float64 spacing is 1, and floor(nu + 0.5) in floats put
     # 2^52 + 1 and 2^52 + 2 in one band; from 2^53 on a band's frequency
     # does not survive a round trip through float64
-    torus = FrequencyLattice(period=1.0, cutoff=1 << 61)
-    xi = np.array([-b - 2, -b - 1, b + 1, b + 2])
-    f = SpectralField(torus, xi, np.array([1.0, 2.0 - 1j, 2.0 + 1j, 1.0]))
-    assert list(band_partition(f).bands) == xi.tolist()
+    f = _torus_field_past_two_to_the_52(b)
+    assert band_partition(f).ids.tolist() == f.xi.tolist()
     fl = norm(f, NormSpec("fourier_lebesgue", -0.75, 1.0))
     assert norm(f, NormSpec("modulation", -0.75, 1.0)) == fl
     assert norm(f, NormSpec("wiener_amalgam", -0.75, 1.0)) == fl
@@ -167,8 +173,7 @@ def test_torus_bands_stay_single_frequencies_above_two_to_the_52(b):
 def test_band_partition_energy_identity(lattice):
     f = hermitian_field(lattice, 70)
     part = band_partition(f)
-    total = sum(part.energies(f).values())
-    assert total == pytest.approx(f.l2() ** 2, rel=1e-12)
+    assert part.energies(f).sum() == pytest.approx(f.l2() ** 2, rel=1e-12)
 
 
 def test_band_partition_groups_on_line_lattice():
@@ -176,11 +181,18 @@ def test_band_partition_groups_on_line_lattice():
     # indices 0..3 have dual points 0, .25, .5, .75: bands 0,0,1,1
     f = SpectralField.from_pairs(lat, [(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)])
     part = band_partition(f)
-    assert {n: len(ix) for n, ix in part.bands.items()} == {0: 2, 1: 2}
+    assert part.ids.tolist() == [0, 1]
+    assert part.starts.tolist() == [0, 2]
+
+
+def _runs(part, nnz):
+    """The support indices of each band, from the run starts."""
+    stops = list(part.starts[1:]) + [nnz]
+    return [np.arange(a, b) for a, b in zip(part.starts, stops)]
 
 
 def test_band_partition_matches_the_per_mode_loop():
-    # the dict of the per-mode loop the vectorized partition replaced
+    # the bands of the per-mode loop the vectorized partition replaced
     rng = np.random.default_rng(9)
     lat = line_lattice(period=3.7)
     xi = np.unique(rng.integers(-500, 500, size=300))
@@ -189,19 +201,91 @@ def test_band_partition_matches_the_per_mode_loop():
     for i, b in enumerate(band_index(f.xi, lat)):
         order.setdefault(int(b), []).append(i)
     expected = {b: np.asarray(ix, dtype=np.int64) for b, ix in sorted(order.items())}
-    bands = band_partition(f).bands
-    assert list(bands) == list(expected)
-    for b, ix in expected.items():
-        assert bands[b].dtype == ix.dtype
-        assert np.array_equal(bands[b], ix)
+    part = band_partition(f)
+    assert part.ids.tolist() == list(expected)
+    for run, ix in zip(_runs(part, f.nnz), expected.values()):
+        assert np.array_equal(run, ix)
 
 
 def test_bump_bands_cover_exactly_the_cubes():
     params = schedule_from_N(256, 2, -0.75, delta_hint=0.25)
     bump = make_bump(params)
     part = band_partition(bump.phi.u0)
-    assert len(part.bands) == bump.omega_support.size
-    assert set(part.bands) == {int(x) for x in bump.omega_support}
+    assert part.ids.tolist() == bump.omega_support.tolist()
+
+
+def _lq_ref(values, q):
+    return float(np.max(values)) if math.isinf(q) else float(np.sum(values**q) ** (1.0 / q))
+
+
+def _per_band_norms(f, s, q):
+    """(modulation, wiener_amalgam) by the per-band loops the run-based
+    partition replaced: a dict of index arrays, one sum and one synthesis
+    per band.  The band weights and the moduli are taken as arrays, as the
+    modulation loop took them (numpy's vectorized pow and abs can differ
+    from the scalar ones in the last bit)."""
+    bands = {}
+    for i, b in enumerate(band_index(f.xi, f.lattice)):
+        bands.setdefault(int(b), []).append(i)
+    ns = sorted(bands)
+    wts = bracket(np.array(ns, dtype=float)) ** s
+    w = f.lattice.weight
+    mag = np.abs(f.c)
+    vals = np.array([math.sqrt(float(np.sum(mag[bands[n]] ** 2)) * w) for n in ns])
+    modulation = _lq_ref(wts * vals, q)
+    if all(len(bands[n]) == 1 for n in ns):
+        vals = np.array([mag[bands[n][0]] for n in ns])
+        return modulation, _lq_ref(wts * vals, q) * math.sqrt(w)
+    return modulation, _amalgam_by_synthesis(f, [bands[n] for n in ns], wts, q)
+
+
+def _amalgam_by_synthesis(f, runs, wts, q):
+    """The amalgam norm with every band synthesized on the shared grid."""
+    m = lattice_module.synthesis_length(f, 8)
+    stack = np.stack([wt * np.abs(lattice_module.grid_samples(f.xi[ix], f.c[ix], m))
+                      for wt, ix in zip(wts, runs)])
+    g = np.max(stack, axis=0) if math.isinf(q) else np.sum(stack**q, axis=0) ** (1.0 / q)
+    return lattice_module.GridField(g, f.lattice.weight).l2()
+
+
+def _band_norms(f, s, q):
+    return (norm(f, NormSpec("modulation", s, q)), norm(f, NormSpec("wiener_amalgam", s, q)))
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+def test_band_norms_on_the_torus_equal_the_per_band_loops_bitwise(lattice, q):
+    fields = [_torus_field_past_two_to_the_52(b) for b in (1 << 52, 1 << 60)]
+    fields += [hermitian_field(lattice, seed) for seed in (110, 111)]
+    for f in fields:
+        assert _band_norms(f, -0.75, q) == _per_band_norms(f, -0.75, q)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+def test_band_norms_on_line_lattices_match_the_per_band_loops(q):
+    fields = _embedding_corpus(100, seed=20240801)
+    rng = np.random.default_rng(9)
+    xi = np.unique(rng.integers(-500, 500, size=300))
+    amps = rng.standard_normal(xi.size) + 1j * rng.standard_normal(xi.size)
+    fields.append(SpectralField(line_lattice(period=3.7), xi, amps))
+    assert any(band_partition(f).ids.size < f.nnz for f in fields)
+    for f in fields:
+        got, want = _band_norms(f, -0.75, q), _per_band_norms(f, -0.75, q)
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("sparse", [False, True], ids=["torus", "line"])
+def test_amalgam_single_point_shortcut_matches_band_syntheses(lattice, q, sparse):
+    # every band holds one frequency: on the torus, and on a period-8 line
+    # lattice (lattice weight 1/8) for frequencies 8 apart; synthesizing
+    # each band on the shared grid is what the shortcut skips
+    f = hermitian_field(lattice, 112)
+    if sparse:
+        f = SpectralField(line_lattice(period=8.0), 8 * f.xi, f.c)
+    assert band_partition(f).ids.size == f.nnz
+    wts = bracket(f.lattice.dual_points(f.xi)) ** -0.5  # the band ids
+    want = _amalgam_by_synthesis(f, [[i] for i in range(f.nnz)], wts, q)
+    assert norm(f, NormSpec("wiener_amalgam", -0.5, q)) == pytest.approx(want, rel=1e-14)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Count the code lines of each module of src/gibq and their total.
+"""Count the code lines of each module of src/gibq and their total,
+beside the physical lines (newlines, as wc -l counts them).
 
 A physical line counts when it holds a token other than a comment, NL,
 NEWLINE, INDENT, DEDENT or a docstring, where a docstring is a string
@@ -49,12 +50,14 @@ def code_lines(path: Path) -> int:
 
 
 def main() -> int:
-    total = 0
+    total = physical = 0
+    print("  code  lines  module")
     for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path)
+        count, lines = code_lines(path), path.read_text().count("\n")
         total += count
-        print(f"{count:6,d}  {path.name}")
-    print(f"{total:6,d}  total")
+        physical += lines
+        print(f"{count:6,d} {lines:6,d}  {path.name}")
+    print(f"{total:6,d} {physical:6,d}  total")
     return 0
 
 
